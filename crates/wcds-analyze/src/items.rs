@@ -146,7 +146,7 @@ const ACQUIRE_TOKENS: [&str; 6] =
 /// Blocking-call tokens, most-specific first. `.read(`/`.write(` with
 /// a non-empty argument list are handled separately (empty parens are
 /// the `RwLock` acquisitions above).
-const BLOCKING_TOKENS: [(&str, &'static str); 12] = [
+const BLOCKING_TOKENS: [(&str, &str); 12] = [
     (".recv_timeout(", "channel recv_timeout"),
     (".recv()", "channel recv"),
     (".wait_timeout(", "condvar wait_timeout"),
@@ -163,7 +163,7 @@ const BLOCKING_TOKENS: [(&str, &'static str); 12] = [
 
 /// Blocking tokens in wrapper-call position (checked like wrapper
 /// acquisitions: no identifier character before them).
-const BLOCKING_FREE_TOKENS: [(&str, &'static str); 2] =
+const BLOCKING_FREE_TOKENS: [(&str, &str); 2] =
     [("sleep(", "thread sleep"), ("connect_timeout(", "socket connect")];
 
 const KEYWORDS: [&str; 28] = [
@@ -454,7 +454,7 @@ fn impl_type(header: &str) -> Option<String> {
         }
     }
     let kw = word_at(header, "impl").or_else(|| word_at(header, "trait"))?;
-    let mut rest = header[kw..].splitn(2, char::is_whitespace).nth(1).unwrap_or("");
+    let mut rest = header[kw..].split_once(char::is_whitespace).map_or("", |(_, r)| r);
     // skip leading generics: `impl<T: Clone> Foo<T>`
     let trimmed = header[kw..].trim_start_matches(|c: char| lints::is_ident(c));
     if trimmed.starts_with('<') {
@@ -812,8 +812,8 @@ fn call_at(
         return None; // macro
     }
     let head = &masked[..start];
-    let (qual, method) = if head.ends_with("::") {
-        let q: String = head[..head.len() - 2]
+    let (qual, method) = if let Some(stem) = head.strip_suffix("::") {
+        let q: String = stem
             .chars()
             .rev()
             .take_while(|&c| lints::is_ident(c))

@@ -4,25 +4,26 @@
 //! and the resolved call graph ([`crate::callgraph`]):
 //!
 //! * **lock-order** — builds the "acquired-while-held" digraph over
-//!   lock classes (shard `RwLock`s, per-entry `topo`/`published`
-//!   locks, the `LeaseTable` mutex, `OnceLock` plan inits, …). An edge
-//!   `A → B` means some code path acquires `B` while holding `A`,
-//!   directly or through calls. A cycle (including a self-loop: two
-//!   instances of the same class, e.g. two shards) is a potential
+//!   lock classes (the store's name-map `RwLock`, per-entry
+//!   `topo`/`published` locks, the `LeaseTable` mutex, `OnceLock`
+//!   plan inits, …). An edge `A → B` means some code path acquires `B`
+//!   while holding `A`, directly or through calls. A cycle (including
+//!   a self-loop: two instances of the same class, e.g. two entries'
+//!   `topo` locks) is a potential
 //!   deadlock; each strongly-connected component yields one finding
 //!   with a witness cycle.
 //! * **hold-across-io** — flags any lock guard live across a blocking
 //!   call (socket read/write/accept/connect, channel `recv`, condvar
 //!   `wait` with a *different* guard, `thread::sleep`), directly or
 //!   through a callee that blocks. This is the shape that lets one
-//!   slow peer stall a shard for every other client.
+//!   slow peer stall a lock for every other client.
 //!
 //! Transitive facts are computed by fixpoint over the call graph;
 //! every transitive step is recorded so findings carry a concrete
 //! call-chain witness.
 
 use crate::callgraph::{AnalysisFinding, CallGraph, FnId, Workspace};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map, BTreeMap, BTreeSet};
 
 /// How a function comes to acquire a lock class.
 #[derive(Debug, Clone, Copy)]
@@ -48,8 +49,8 @@ fn may_acquire(ws: &Workspace, graph: &CallGraph) -> Vec<BTreeMap<String, Step>>
                 let line = ws.fns[id].calls[e.call].line;
                 let classes: Vec<String> = acq[e.callee].keys().cloned().collect();
                 for c in classes {
-                    if !acq[id].contains_key(&c) {
-                        acq[id].insert(c, Step::Via(e.callee, line));
+                    if let btree_map::Entry::Vacant(slot) = acq[id].entry(c) {
+                        slot.insert(Step::Via(e.callee, line));
                         changed = true;
                     }
                 }

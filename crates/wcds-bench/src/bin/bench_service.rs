@@ -10,8 +10,8 @@
 //!   case), shipped as depth-[`PIPELINE_DEPTH`] pipelined bursts
 //!   (write the whole burst, then drain the responses): the epoch
 //!   cache and the mutation path's bundle patching should absorb
-//!   almost everything, and the event loop should answer from the
-//!   lock-free snapshot without a thread handoff. Per-request latency
+//!   almost everything, and the event loop should answer cache hits
+//!   inline, without a thread handoff. Per-request latency
 //!   is the burst round-trip divided by its depth — the closed-loop
 //!   pipelined convention;
 //! * **mutation-heavy** — 1 drift tick per 4 requests, shipped as a
@@ -82,8 +82,8 @@ struct MixResult {
 
 /// One burst of the read-heavy mix: request `i + t ≡ 0 (mod period)`
 /// is a single drift move (the node jitters around its deployment
-/// position — the patchable-repair common case, so the snapshot stays
-/// hot), one in eight of the rest is a stats probe, everything else
+/// position — the patchable-repair common case, so the published
+/// bundle stays hot), one in eight of the rest is a stats probe, everything else
 /// routes between random endpoints.
 #[allow(clippy::too_many_arguments)] // single call site, positional config
 fn read_burst(
@@ -99,7 +99,7 @@ fn read_burst(
 ) -> Vec<Request> {
     (first..first + depth)
         .map(|i| {
-            if (i + t) % mutation_period == 0 {
+            if (i + t).is_multiple_of(mutation_period) {
                 let node = rng.gen_range(0..n);
                 let jx = (rng.gen::<f64>() - 0.5) * 0.5;
                 let jy = (rng.gen::<f64>() - 0.5) * 0.5;
@@ -181,10 +181,10 @@ fn run_mix(
                 let mut local = Vec::with_capacity(ops);
                 let mut local_ops = 0u64;
                 let mut local_wait = 0u64;
-                if pipeline_depth > 0 {
+                if let Some(bursts) = ops.checked_div(pipeline_depth) {
                     // pipelined read mix: write the burst, drain it,
                     // amortize the round trip over its depth
-                    for b in 0..ops / pipeline_depth {
+                    for b in 0..bursts {
                         let burst = read_burst(
                             &mut rng,
                             mix,
@@ -213,7 +213,7 @@ fn run_mix(
                     return;
                 }
                 for i in 0..ops {
-                    if (i + t) % mutation_period == 0 {
+                    if (i + t).is_multiple_of(mutation_period) {
                         if batch_moves > 0 {
                             // drift tick: one frame, batch_moves moves
                             let tick_moves: Vec<Mutation> = (0..batch_moves)

@@ -16,29 +16,35 @@ pub mod workloads;
 
 use crate::util::{Scale, Table};
 
+/// One experiment: its tables at the given scale.
+pub type Experiment = fn(Scale) -> Vec<Table>;
+
+/// Every experiment by its `expt <name>` name, in DESIGN.md order.
+pub const EXPERIMENTS: [(&str, Experiment); 21] = [
+    ("fig1_udg", figures::run_fig1),
+    ("fig2_wcds", |_| figures::run_fig2()),
+    ("lemma1_neighbors", lemmas::run_lemma1),
+    ("lemma2_khop", lemmas::run_lemma2),
+    ("subset_distance", lemmas::run_subset_distance),
+    ("fig6_ranking", |_| figures::run_fig6()),
+    ("ratio", ratio::run),
+    ("spanner_sparsity", spanner::run),
+    ("dilation", dilation::run),
+    ("messages", complexity::run_messages),
+    ("time", complexity::run_time),
+    ("routing", routing::run_unicast),
+    ("routing_distributed", routing::run_distributed_unicast),
+    ("broadcast", routing::run_broadcast),
+    ("maintenance", maintenance::run),
+    ("maintenance_distributed", maintenance::run_distributed),
+    ("ablation_ranking", ablation::run),
+    ("pruning", extensions::run_pruning),
+    ("robustness", extensions::run_robustness),
+    ("position", position::run),
+    ("workloads", workloads::run),
+];
+
 /// Runs the entire evaluation, in DESIGN.md order.
 pub fn run_all(scale: Scale) -> Vec<Table> {
-    let mut out = Vec::new();
-    out.extend(figures::run_fig1(scale));
-    out.extend(figures::run_fig2());
-    out.extend(lemmas::run_lemma1(scale));
-    out.extend(lemmas::run_lemma2(scale));
-    out.extend(lemmas::run_subset_distance(scale));
-    out.extend(figures::run_fig6());
-    out.extend(ratio::run(scale));
-    out.extend(spanner::run(scale));
-    out.extend(dilation::run(scale));
-    out.extend(complexity::run_messages(scale));
-    out.extend(complexity::run_time(scale));
-    out.extend(routing::run_unicast(scale));
-    out.extend(routing::run_distributed_unicast(scale));
-    out.extend(routing::run_broadcast(scale));
-    out.extend(maintenance::run(scale));
-    out.extend(maintenance::run_distributed(scale));
-    out.extend(ablation::run(scale));
-    out.extend(extensions::run_pruning(scale));
-    out.extend(extensions::run_robustness(scale));
-    out.extend(position::run(scale));
-    out.extend(workloads::run(scale));
-    out
+    EXPERIMENTS.iter().flat_map(|(_, run)| run(scale)).collect()
 }

@@ -9,11 +9,12 @@
 //! deployments — the substitution policy recorded in `DESIGN.md`.
 //!
 //! Each experiment lives in [`experiments`] as a function returning
-//! printable [`util::Table`]s; the `expt_*` binaries in `src/bin` are
-//! thin wrappers, and `expt_all` prints the whole evaluation. Every
-//! experiment accepts a [`util::Scale`] so integration tests can
-//! smoke-run the full suite in seconds while the binaries default to
-//! paper-scale sweeps.
+//! printable [`util::Table`]s, listed by name in
+//! [`experiments::EXPERIMENTS`]; the `expt` binary in `src/bin` runs
+//! one by name (`expt dilation --quick`), and `expt all` prints the
+//! whole evaluation. Every experiment accepts a [`util::Scale`] so
+//! integration tests can smoke-run the full suite in seconds while the
+//! binary defaults to paper-scale sweeps.
 
 pub mod experiments;
 pub mod perf;

@@ -8,17 +8,13 @@
 //!   Every message decodes totally: malformed bytes produce a typed
 //!   [`protocol::WireError`], never a panic, and length prefixes are
 //!   validated before allocation.
-//! * [`store`] — a sharded, epoch-cached topology store. Named
-//!   topologies live in lock-free copy-on-write shards; each carries
-//!   an epoch counter bumped by every mutation and a lazily built
-//!   artifact bundle (Algorithm II WCDS + spanner + routing tables)
-//!   stamped with its build epoch and published through a lock-free
-//!   [`snapshot::SnapCell`]. Reads hit the cache while the stamp
-//!   matches — acquiring **zero** locks — and mutations invalidate by
-//!   bumping the epoch.
-//! * [`snapshot`] — the userspace-RCU snapshot cell behind the store's
-//!   publication protocol (one of the crate's two audited `unsafe`
-//!   islands, with the raw-syscall `sys` module).
+//! * [`store`] — an epoch-cached topology store. Named topologies live
+//!   in one `RwLock`ed name map; each carries an epoch counter bumped
+//!   by every mutation and a lazily built artifact bundle (Algorithm II
+//!   WCDS + spanner + routing tables) stamped with its build epoch and
+//!   published in its own `RwLock`ed slot, apart from the topology
+//!   lock. Reads hit the cache while the stamp matches — never waiting
+//!   on a repair — and mutations invalidate by bumping the epoch.
 //! * [`server`] — the TCP front end, with two engines behind one
 //!   handle: the default **readiness event loop** (epoll via raw
 //!   syscalls, nonblocking sockets, per-connection incremental framing,
@@ -60,12 +56,6 @@ pub mod protocol;
 mod sys;
 pub mod rebuild;
 pub mod server;
-// Audited unsafe island: the userspace-RCU snapshot cell needs raw
-// pointer loads/frees for its lock-free reader path. `unsafe` is
-// permitted only here and in `sys`; every block carries a SAFETY
-// comment citing the grace-period invariant.
-#[allow(unsafe_code)]
-pub mod snapshot;
 pub mod store;
 
 pub use client::{Client, ClientError};

@@ -5,8 +5,8 @@
 //! the raw-syscall bindings in `sys`, nonblocking sockets, incremental
 //! per-connection framing, request pipelining, and write backpressure.
 //! Slow or stalled peers cost a slab slot, not a thread. Requests that
-//! can be answered from a fresh published snapshot are handled inline
-//! on the loop (the lock-free store fast path); everything else is
+//! can be answered from a fresh published bundle are handled inline
+//! on the loop (the store's cache-hit path); everything else is
 //! offloaded to a small executor pool and the response is spliced back
 //! in request order. See `eventloop.rs` and DESIGN.md §8.
 //!
