@@ -1,6 +1,6 @@
 //! In-repo correctness gate for the service layer (DESIGN.md §9).
 //!
-//! Five engines, one verdict (`cargo run -p wcds-analyze -- check`):
+//! Four engines, one verdict (`cargo run -p wcds-analyze -- check`):
 //!
 //! * [`lints`] — lexical source lints over the wire-facing modules
 //!   (`wcds-service::{protocol, server, store, client}`,
@@ -27,13 +27,6 @@
 //!   functions via the [`wcds_service::rebuild`] shim. Asserts no
 //!   stale bundle is ever served and no epoch is rebuilt twice — and
 //!   proves its own sensitivity by catching two seeded protocol bugs.
-//! * [`leases`] — the same exploration style for the region-lease
-//!   admission protocol behind concurrent mutations, driving the
-//!   *actual* [`wcds_core::maintenance::lease::LeaseTable`]: no two
-//!   conflicting critical sections overlap, conflicting claims commit
-//!   in FIFO (ticket) order, disjoint claims really do run
-//!   concurrently, and no schedule deadlocks — again with seeded bugs
-//!   that must be caught.
 //! * [`totality`] — structure-aware enumeration of truncated, mutated,
 //!   and hostile frames through both wire decoders under
 //!   `catch_unwind`: no panics, and accepted frames round-trip.
@@ -44,7 +37,6 @@
 pub mod callgraph;
 pub mod items;
 pub mod json;
-pub mod leases;
 pub mod lexer;
 pub mod lints;
 pub mod lockorder;

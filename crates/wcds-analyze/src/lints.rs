@@ -56,7 +56,7 @@ pub const LINT_NAMES: [&str; 6] = [
 /// grid-partition module is strict for the same reason: the service's
 /// mobile-ingest path runs it on every `create`, and its worker
 /// closures execute on spawned threads where a panic poisons the join.
-pub const STRICT_FILES: [(&str, bool); 11] = [
+pub const STRICT_FILES: [(&str, bool); 10] = [
     ("crates/wcds-service/src/protocol.rs", false),
     ("crates/wcds-service/src/server.rs", false),
     // the readiness event loop multiplexes every connection on one
@@ -73,10 +73,6 @@ pub const STRICT_FILES: [(&str, bool); 11] = [
     // topology locks may be queued behind it — same blast radius as
     // the maintenance modules
     ("crates/wcds-core/src/resilient.rs", false),
-    // the admission state machine every concurrent mutation funnels
-    // through — a panic here poisons the store's lease mutex and
-    // wedges every mutator
-    ("crates/wcds-core/src/maintenance/lease.rs", false),
 ];
 
 /// One lint violation.

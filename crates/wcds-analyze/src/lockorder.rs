@@ -5,13 +5,12 @@
 //!
 //! * **lock-order** — builds the "acquired-while-held" digraph over
 //!   lock classes (the store's name-map `RwLock`, per-entry
-//!   `topo`/`published` locks, the `LeaseTable` mutex, `OnceLock`
-//!   plan inits, …). An edge `A → B` means some code path acquires `B`
-//!   while holding `A`, directly or through calls. A cycle (including
-//!   a self-loop: two instances of the same class, e.g. two entries'
-//!   `topo` locks) is a potential
-//!   deadlock; each strongly-connected component yields one finding
-//!   with a witness cycle.
+//!   `topo`/`published` locks, `OnceLock` plan inits, …). An edge
+//!   `A → B` means some code path acquires `B` while holding `A`,
+//!   directly or through calls. A cycle (including a self-loop: two
+//!   instances of the same class, e.g. two entries' `topo` locks) is a
+//!   potential deadlock; each strongly-connected component yields one
+//!   finding with a witness cycle.
 //! * **hold-across-io** — flags any lock guard live across a blocking
 //!   call (socket read/write/accept/connect, channel `recv`, condvar
 //!   `wait` with a *different* guard, `thread::sleep`), directly or

@@ -1,11 +1,10 @@
 //! `wcds-analyze` — the repo's correctness gate.
 //!
 //! ```text
-//! wcds-analyze check            # all five engines (the CI gate)
+//! wcds-analyze check            # all four engines (the CI gate)
 //! wcds-analyze lints [--root P] # source lints only
 //! wcds-analyze callgraph        # interprocedural analyses only
 //! wcds-analyze races            # store-rebuild interleaving checker
-//! wcds-analyze leases           # lease-admission interleaving checker
 //! wcds-analyze totality         # decoder totality only
 //! ```
 //!
@@ -18,11 +17,11 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use wcds_analyze::{callgraph, leases, lints, races, totality};
+use wcds_analyze::{callgraph, lints, races, totality};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: wcds-analyze <check|lints|callgraph|races|leases|totality> \
+        "usage: wcds-analyze <check|lints|callgraph|races|totality> \
          [--root <repo-root>] [--write-baseline]"
     );
     ExitCode::from(2)
@@ -41,9 +40,7 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--write-baseline" => write_baseline = true,
-            "check" | "lints" | "callgraph" | "races" | "leases" | "totality"
-                if command.is_none() =>
-            {
+            "check" | "lints" | "callgraph" | "races" | "totality" if command.is_none() => {
                 command = Some(arg.clone());
             }
             _ => return usage(),
@@ -60,9 +57,6 @@ fn main() -> ExitCode {
     }
     if command == "check" || command == "races" {
         clean &= run_races();
-    }
-    if command == "check" || command == "leases" {
-        clean &= run_leases();
     }
     if command == "check" || command == "totality" {
         clean &= run_totality();
@@ -210,27 +204,6 @@ fn run_callgraph(root: &Path, write_baseline: bool) -> bool {
 fn run_races() -> bool {
     println!("== races (store rebuild protocol) ==");
     match races::run() {
-        Ok(report) => {
-            for s in &report.scenarios {
-                if s.schedules > 0 {
-                    println!("  {:<42} {:>6} schedules, {:>7} steps", s.name, s.schedules, s.steps);
-                } else {
-                    println!("  {:<42} seeded bug caught", s.name);
-                }
-            }
-            println!("  {} schedules explored, zero violations", report.total_schedules);
-            true
-        }
-        Err(e) => {
-            println!("  VIOLATION: {e}");
-            false
-        }
-    }
-}
-
-fn run_leases() -> bool {
-    println!("== leases (region-lease admission protocol) ==");
-    match leases::run() {
         Ok(report) => {
             for s in &report.scenarios {
                 if s.schedules > 0 {

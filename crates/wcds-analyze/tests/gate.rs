@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use wcds_analyze::{callgraph, leases, lexer, lints, races, reach, totality};
+use wcds_analyze::{callgraph, lexer, lints, races, reach, totality};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -444,28 +444,6 @@ fn race_checker_is_exhaustive_and_clean() {
         .find(|s| s.name.starts_with("coverage"))
         .expect("coverage probe ran");
     assert_eq!(coverage.schedules, 70, "coverage probe must visit all C(8,4) schedules");
-}
-
-#[test]
-fn lease_checker_is_exhaustive_and_clean() {
-    let report = leases::run().unwrap_or_else(|e| panic!("lease checker: {e}"));
-    assert!(
-        report.total_schedules >= 70,
-        "only {} schedules explored",
-        report.total_schedules
-    );
-    let coverage = report
-        .scenarios
-        .iter()
-        .find(|s| s.name.starts_with("coverage"))
-        .expect("coverage probe ran");
-    assert_eq!(coverage.schedules, 70, "coverage probe must visit all C(8,4) schedules");
-    // the two seeded-bug rows prove sensitivity
-    assert_eq!(
-        report.scenarios.iter().filter(|s| s.name.starts_with("broken")).count(),
-        2,
-        "both seeded-bug scenarios must run"
-    );
 }
 
 #[test]

@@ -17,9 +17,9 @@
 //! post-mutation graphs are connected it must be ≤ 3 (the paper's §4.2
 //! bound). Pass `--quick` for the CI smoke size.
 //!
-//! A second section sweeps the **batched drift path** — 16-move ticks
-//! planned into region-lease waves ([`plan_batch`]) with each wave
-//! coalesced into one `apply_motion` — across 1/2/4/8 repair workers.
+//! A second section sweeps the **batched drift path** — 16-move ticks,
+//! each coalesced into one `apply_motion` the way the service store
+//! applies a `MutateBatch` frame — across 1/2/4/8 repair workers.
 //! The final topology must be byte-identical at every thread count
 //! (the engine is thread-count-invariant by construction); throughput
 //! rows land in the JSON per `(n, threads)`. Monotone thread scaling
@@ -31,7 +31,6 @@
 use wcds_bench::perf::{time_ms, write_bench_json, BenchRow};
 use wcds_bench::util::{side_for_avg_degree, Scale};
 use wcds_core::algo2::AlgorithmTwo;
-use wcds_core::maintenance::lease::{claim_cells, plan_batch, Scope};
 use wcds_core::maintenance::MaintainedWcds;
 use wcds_geom::{deploy, Point};
 use wcds_graph::{io, traversal, UnitDiskGraph};
@@ -116,12 +115,11 @@ fn run_trace(n: usize, steps: usize) -> TraceStats {
     stats
 }
 
-/// Replays `ticks` fixed-seed 16-move drift ticks through the wave
-/// scheduler at each thread count, timing the whole mutation path
-/// (claim derivation, wave planning, coalesced repairs). Returns the
-/// pre-trace edge count and `(threads, wall_ms)` per run; panics if
-/// any thread count's final topology diverges from the single-thread
-/// run.
+/// Replays `ticks` fixed-seed 16-move drift ticks at each thread count,
+/// one coalesced `apply_motion` per tick, timing the whole mutation
+/// path. Returns the pre-trace edge count and `(threads, wall_ms)` per
+/// run; panics if any thread count's final topology diverges from the
+/// single-thread run.
 fn run_thread_sweep(n: usize, ticks: usize) -> (usize, Vec<(usize, f64)>) {
     let side = side_for_avg_degree(n, 11.0);
     let points = deploy::uniform(n, side, side, SEED);
@@ -162,18 +160,7 @@ fn run_thread_sweep(n: usize, ticks: usize) -> (usize, Vec<(usize, f64)>) {
                         (u, q)
                     })
                     .collect();
-                let claims: Vec<Scope> = moves
-                    .iter()
-                    .map(|&(u, q)| {
-                        Scope::Cells(claim_cells(&[net.points()[u], q], RADIUS))
-                    })
-                    .collect();
-                let plan = plan_batch(&claims);
-                for wave in &plan.waves {
-                    let batch: Vec<(usize, Point)> =
-                        wave.iter().map(|&i| moves[i]).collect();
-                    net.apply_motion(&batch);
-                }
+                net.apply_motion(&moves);
             }
         });
         let export = io::to_text(net.graph(), Some(net.points()));

@@ -16,21 +16,23 @@
 //!   pipelined convention;
 //! * **mutation-heavy** — 1 drift tick per 4 requests, shipped as a
 //!   [`Mutation::Move`] × [`BATCH_MOVES`] `MutateBatch` frame: the
-//!   region-lease scheduler coalesces each tick into per-wave repairs,
-//!   and every applied move counts as one operation.
+//!   store applies each tick under one hold of the topology write lock,
+//!   coalescing its moves into one repair, and every applied move
+//!   counts as one operation.
 //!
 //! The wall clock starts at a barrier *after* every load client has
 //! connected — connection setup is reported separately
 //! (`*_connect_ms`) instead of polluting the latency rows and the
 //! throughput denominator. Mutations are joins/moves only (never
 //! leaves), so route endpoints sampled from the initial node range
-//! stay valid throughout. Batch latencies subtract the lease-wait time
-//! the server reports — queue time is accounted separately
-//! (`lease_wait_ms` check) so the p99 measures service time, not
-//! contention backlog. The mutation-heavy mix is release-gated on the
-//! serial-replay oracle: the final export must be byte-identical to
-//! replaying the batch log, sorted by commit epoch, one move at a
-//! time. Pass `--quick` for the CI smoke size.
+//! stay valid throughout. Every unpipelined latency is the whole
+//! request time, including any wait for the topology lock. The
+//! mutation-heavy mix is release-gated on the serial-replay oracle:
+//! the final export must be byte-identical to replaying the batch log,
+//! sorted by commit epoch, one move at a time. At full scale both
+//! mixes run and print before any throughput or tail gate is judged,
+//! and a failing run lists every missed gate. Pass `--quick` for the
+//! CI smoke size.
 
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
@@ -48,7 +50,7 @@ const SEED: u64 = 42;
 const BATCH_MOVES: usize = 16;
 /// Requests per pipelined burst in the read-heavy mix.
 const PIPELINE_DEPTH: usize = 32;
-/// PR-7 single-mutation baselines the lease scheduler must beat
+/// Single-mutation baselines the batched mutation path must beat
 /// (BENCH_service.json at the 8-worker full scale).
 const BASELINE_MUTATION_HEAVY_OPS_PER_S: f64 = 2871.9;
 const BASELINE_MUTATION_HEAVY_P99_US: f64 = 15_796.2;
@@ -62,13 +64,12 @@ const FLOOR_MUTATION_HEAVY_OPS_PER_S: f64 = 19_900.0;
 
 struct MixResult {
     wall_ms: f64,
-    /// Per-operation service latencies (lease wait already subtracted
-    /// from batch frames; pipelined bursts amortized over their depth).
+    /// Per-operation latencies (whole request times; pipelined bursts
+    /// amortized over their depth).
     latencies_us: Vec<f64>,
     /// Logical operations: reads + applied mutations.
     ops: usize,
     mutations: u64,
-    lease_wait_ms: f64,
     /// Slowest single client connect (excluded from the wall clock).
     connect_ms: f64,
     /// Readiness-engine syscalls issued during this mix.
@@ -152,7 +153,6 @@ fn run_mix(
     let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(threads * ops));
     let batch_log: Mutex<Vec<(u64, Vec<Mutation>)>> = Mutex::new(Vec::new());
     let mutations = std::sync::atomic::AtomicU64::new(0);
-    let lease_wait_us = std::sync::atomic::AtomicU64::new(0);
     let logical_ops = std::sync::atomic::AtomicU64::new(0);
     let connect_us = std::sync::atomic::AtomicU64::new(0);
     // every client connects before the clock starts: connection setup
@@ -165,7 +165,6 @@ fn run_mix(
             let latencies = &latencies;
             let batch_log = &batch_log;
             let mutations = &mutations;
-            let lease_wait_us = &lease_wait_us;
             let logical_ops = &logical_ops;
             let connect_us = &connect_us;
             let ready = &ready;
@@ -180,7 +179,6 @@ fn run_mix(
                 ready.wait();
                 let mut local = Vec::with_capacity(ops);
                 let mut local_ops = 0u64;
-                let mut local_wait = 0u64;
                 if let Some(bursts) = ops.checked_div(pipeline_depth) {
                     // pipelined read mix: write the burst, drain it,
                     // amortize the round trip over its depth
@@ -225,12 +223,8 @@ fn run_mix(
                                 .collect();
                             let tick = Instant::now();
                             let out = c.mutate_batch(mix, &tick_moves).expect("mutate batch");
-                            let total_us = tick.elapsed().as_secs_f64() * 1e6;
+                            local.push(tick.elapsed().as_secs_f64() * 1e6);
                             assert_eq!(out.applied as usize, batch_moves);
-                            // queue time is contention accounting, not
-                            // service time — measure the repair itself
-                            local.push((total_us - out.lease_wait_us as f64).max(0.0));
-                            local_wait += out.lease_wait_us;
                             local_ops += out.applied;
                             mutations
                                 .fetch_add(out.applied, std::sync::atomic::Ordering::Relaxed);
@@ -279,7 +273,6 @@ fn run_mix(
                 }
                 latencies.lock().unwrap().extend(local);
                 logical_ops.fetch_add(local_ops, std::sync::atomic::Ordering::Relaxed);
-                lease_wait_us.fetch_add(local_wait, std::sync::atomic::Ordering::Relaxed);
             }));
         }
         ready.wait();
@@ -299,7 +292,6 @@ fn run_mix(
         latencies_us: latencies.into_inner().unwrap(),
         ops: logical_ops.into_inner() as usize,
         mutations: mutations.into_inner(),
-        lease_wait_ms: lease_wait_us.into_inner() as f64 / 1000.0,
         connect_ms: connect_us.into_inner() as f64 / 1000.0,
         syscalls_delta: stats.syscalls.saturating_sub(syscalls_before),
         hit_rate: if queries > 0 { stats.cache_hits as f64 / queries as f64 } else { 0.0 },
@@ -345,6 +337,47 @@ fn assert_serial_replay(payload: &str, result: &MixResult) {
     );
 }
 
+/// The full-scale throughput and tail gates for one mix: a message per
+/// missed gate, empty when the mix clears them all.
+fn full_scale_gates(mix: &str, throughput: f64, p99: f64) -> Vec<String> {
+    let mut missed = Vec::new();
+    if mix == "read_heavy" {
+        if throughput < 4.0 * BASELINE_READ_HEAVY_REQ_PER_S {
+            missed.push(format!(
+                "read_heavy {throughput:.1} req/s is below 4× the worker-pool \
+                 baseline ({BASELINE_READ_HEAVY_REQ_PER_S} req/s)"
+            ));
+        }
+        if p99 >= FLOOR_READ_HEAVY_P99_US {
+            missed.push(format!(
+                "read_heavy p99 {p99:.1} µs breaches the event-loop \
+                 tail ceiling ({FLOOR_READ_HEAVY_P99_US} µs)"
+            ));
+        }
+    }
+    if mix == "mutation_heavy" {
+        if throughput < 4.0 * BASELINE_MUTATION_HEAVY_OPS_PER_S {
+            missed.push(format!(
+                "mutation_heavy {throughput:.1} ops/s is below 4× the single-mutation \
+                 baseline ({BASELINE_MUTATION_HEAVY_OPS_PER_S} req/s)"
+            ));
+        }
+        if throughput < FLOOR_MUTATION_HEAVY_OPS_PER_S {
+            missed.push(format!(
+                "mutation_heavy {throughput:.1} ops/s fell below the \
+                 batched-mutation floor ({FLOOR_MUTATION_HEAVY_OPS_PER_S} ops/s)"
+            ));
+        }
+        if p99 >= BASELINE_MUTATION_HEAVY_P99_US {
+            missed.push(format!(
+                "mutation_heavy p99 {p99:.1} µs regressed past the \
+                 single-mutation tail ({BASELINE_MUTATION_HEAVY_P99_US} µs)"
+            ));
+        }
+    }
+    missed
+}
+
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -374,6 +407,9 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut checks = Vec::new();
+    // throughput and tail gates are judged after both mixes ran, so a
+    // slow read mix cannot hide the mutation mix's numbers
+    let mut missed: Vec<String> = Vec::new();
     for (mix, mutation_period, batch_moves, pipeline_depth) in [
         ("read_heavy", 32usize, 0usize, PIPELINE_DEPTH),
         ("mutation_heavy", 4, BATCH_MOVES, 0),
@@ -412,7 +448,6 @@ fn main() {
         checks.push((format!("{mix}_p99_us"), format!("{:.1}", percentile(&sorted, 0.99))));
         checks.push((format!("{mix}_cache_hit_rate"), format!("{:.4}", result.hit_rate)));
         checks.push((format!("{mix}_mutations"), format!("{}", result.mutations)));
-        checks.push((format!("{mix}_lease_wait_ms"), format!("{:.1}", result.lease_wait_ms)));
         checks.push((format!("{mix}_connect_ms"), format!("{:.2}", result.connect_ms)));
         checks.push((
             format!("{mix}_syscalls_per_req"),
@@ -427,57 +462,14 @@ fn main() {
             format!("{}", result.stats.pipeline_depth_max),
         ));
         checks.push((
-            format!("{mix}_lease_waits"),
-            format!("{}", result.stats.lease_waits),
-        ));
-        checks.push((
-            format!("{mix}_lease_conflicts"),
-            format!("{}", result.stats.lease_conflicts),
-        ));
-        checks.push((
             format!("{mix}_batched_mutations"),
             format!("{}", result.stats.batched_mutations),
         ));
-        checks.push((
-            format!("{mix}_concurrent_repairs_max"),
-            format!("{}", result.stats.concurrent_repairs_max),
-        ));
 
-        if scale == Scale::Full && mix == "read_heavy" {
-            let row = rows.last().expect("row just pushed");
-            assert!(
-                row.throughput >= 4.0 * BASELINE_READ_HEAVY_REQ_PER_S,
-                "read_heavy {:.1} req/s is below 4× the worker-pool \
-                 baseline ({BASELINE_READ_HEAVY_REQ_PER_S} req/s)",
-                row.throughput
-            );
+        if scale == Scale::Full {
+            let throughput = rows.last().expect("row just pushed").throughput;
             let p99 = percentile(&sorted, 0.99);
-            assert!(
-                p99 < FLOOR_READ_HEAVY_P99_US,
-                "read_heavy p99 {p99:.1} µs breaches the event-loop \
-                 tail ceiling ({FLOOR_READ_HEAVY_P99_US} µs)"
-            );
-        }
-        if scale == Scale::Full && mix == "mutation_heavy" {
-            let row = rows.last().expect("row just pushed");
-            assert!(
-                row.throughput >= 4.0 * BASELINE_MUTATION_HEAVY_OPS_PER_S,
-                "mutation_heavy {:.1} ops/s is below 4× the single-mutation \
-                 baseline ({BASELINE_MUTATION_HEAVY_OPS_PER_S} req/s)",
-                row.throughput
-            );
-            assert!(
-                row.throughput >= FLOOR_MUTATION_HEAVY_OPS_PER_S,
-                "mutation_heavy {:.1} ops/s regressed past the PR-8 lease \
-                 floor ({FLOOR_MUTATION_HEAVY_OPS_PER_S} ops/s)",
-                row.throughput
-            );
-            let p99 = percentile(&sorted, 0.99);
-            assert!(
-                p99 < BASELINE_MUTATION_HEAVY_P99_US,
-                "mutation_heavy p99 service time {p99:.1} µs regressed past the \
-                 PR-7 tail ({BASELINE_MUTATION_HEAVY_P99_US} µs)"
-            );
+            missed.extend(full_scale_gates(mix, throughput, p99));
         }
     }
     checks.push(("epochs_match_mutations".to_string(), "true".to_string()));
@@ -488,7 +480,6 @@ fn main() {
     let served = handle.join();
     checks.push(("requests_served".to_string(), format!("{served}")));
 
-    write_bench_json("BENCH_service.json", "service", &rows, &checks);
     for r in &rows {
         println!(
             "{:<16} n={:<4} threads={:<2} {:>9.1} ms  {:>10.0} ops/s",
@@ -498,6 +489,13 @@ fn main() {
     for (k, v) in &checks {
         println!("  {k} = {v}");
     }
+    assert!(
+        missed.is_empty(),
+        "{} full-scale gate(s) missed:\n  {}",
+        missed.len(),
+        missed.join("\n  ")
+    );
+    write_bench_json("BENCH_service.json", "service", &rows, &checks);
     println!("wrote BENCH_service.json");
 }
 

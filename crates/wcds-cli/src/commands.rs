@@ -454,7 +454,7 @@ fn query_once(c: &mut Client, action: QueryAction) -> Result<String, CliError> {
             let _ = writeln!(out, "epoch        : {} (bundle cached: {})", s.epoch, s.cached);
             let _ = writeln!(out, "backbone     : |MIS| = {}, bridges = {}, spanner |E'| = {}", s.mis, s.bridges, s.spanner_edges);
             let _ = writeln!(out, "cache        : {} hits, {} misses, {} rebuilds", s.cache_hits, s.cache_misses, s.rebuilds);
-            let _ = writeln!(out, "leases       : {} waits, {} conflicts, {} batched, {} peak concurrent", s.lease_waits, s.lease_conflicts, s.batched_mutations, s.concurrent_repairs_max);
+            let _ = writeln!(out, "batched      : {} mutations", s.batched_mutations);
             if s.hardened_k > 0 {
                 let _ = writeln!(out, "resilience   : target ({}, {}), achieved k = {}", s.hardened_k, s.hardened_m, s.achieved_k);
                 let _ = writeln!(out, "availability : {} ok, {} degraded, {} unreachable, {} heals", s.routes_ok, s.routes_degraded, s.routes_unreachable, s.heals);

@@ -40,7 +40,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use wcds_geom::Point;
 use wcds_graph::{DynamicUdg, Graph, NodeId};
 
-pub mod lease;
 pub(crate) mod region;
 pub use region::select_additional_dominators_in;
 
@@ -209,13 +208,6 @@ impl MaintainedWcds {
     /// The current node positions.
     pub fn points(&self) -> &[Point] {
         self.udg.points()
-    }
-
-    /// The unit-disk radius. Also the cell size of the topology's
-    /// spatial grid, and therefore the cell size region leases claim
-    /// against (see [`lease`]).
-    pub fn radius(&self) -> f64 {
-        self.udg.radius()
     }
 
     /// The current WCDS.

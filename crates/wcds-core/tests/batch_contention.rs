@@ -1,26 +1,23 @@
-//! Adversarial-contention property tests for the region-lease batch
+//! Adversarial-contention property tests for the batched mutation
 //! path (DESIGN.md §4.4).
 //!
-//! Two extreme workloads bound the scheduler's behavior:
+//! Two extreme workloads bound the coalesced repair:
 //!
-//! * **one 3-ball** — every move lands in the same cell neighborhood,
-//!   so every claim conflicts with every earlier claim: `plan_batch`
-//!   must fully serialize (one claim per wave, peak concurrency 1);
-//! * **maximally spread** — moves in clusters farther apart than two
-//!   claim blocks, so no claims conflict: one wave, peak concurrency
-//!   equal to the batch size.
+//! * **one 3-ball** — every move lands in the same neighborhood, so
+//!   every move's repair region overlaps every other's;
+//! * **maximally spread** — moves in clusters far apart, so no two
+//!   repair regions meet.
 //!
 //! Both apply the batch exactly the way `Store::mutate_batch` does —
-//! one coalesced `apply_motion` per planned wave — and assert the
-//! final state is **byte-identical** to serial replay in batch order
-//! at every engine thread count (1/2/4/8), plus the from-scratch
+//! one coalesced `apply_motion` for the whole run of moves — and assert
+//! the final state is **byte-identical** to serial replay in batch
+//! order at every engine thread count (1/2/4/8), plus the from-scratch
 //! Algorithm II oracle. Runs under serial and `--features rayon`
 //! builds unchanged.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use wcds_core::algo2::AlgorithmTwo;
-use wcds_core::maintenance::lease::{claim_cells, plan_batch, BatchPlan, Scope};
 use wcds_core::maintenance::MaintainedWcds;
 use wcds_geom::{deploy, Point};
 use wcds_graph::{io, NodeId, UnitDiskGraph};
@@ -29,25 +26,6 @@ use wcds_rng::{ChaCha12Rng, Rng};
 const SEED: u64 = 42;
 const RADIUS: f64 = 1.0;
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-/// Claims for a move batch exactly as the store computes them: the
-/// ±`CLAIM_RADIUS_CELLS` blocks around both ends of each hop, at the
-/// pre-batch positions.
-fn claims_for(net: &MaintainedWcds, moves: &[(NodeId, Point)]) -> Vec<Scope> {
-    moves
-        .iter()
-        .map(|&(u, q)| Scope::Cells(claim_cells(&[net.points()[u], q], net.radius())))
-        .collect()
-}
-
-/// Applies `moves` the way `Store::mutate_batch` schedules a Move run:
-/// one coalesced `apply_motion` per planned wave, waves in FIFO order.
-fn apply_in_waves(net: &mut MaintainedWcds, moves: &[(NodeId, Point)], plan: &BatchPlan) {
-    for wave in &plan.waves {
-        let batch: Vec<(NodeId, Point)> = wave.iter().map(|&i| moves[i]).collect();
-        net.apply_motion(&batch);
-    }
-}
 
 /// The serial-replay oracle plus the from-scratch oracle: `net` must
 /// be byte-identical to one-at-a-time application in batch order on a
@@ -87,7 +65,9 @@ fn assert_matches_serial(
     );
 }
 
-/// Every move targets one 3-ball: total serialization, exact state.
+/// Every move targets one 3-ball, so every repair region overlaps
+/// every other: the coalesced pass must still equal full
+/// serialization (a serial replay) exactly.
 #[test]
 fn one_ball_batch_fully_serializes_and_matches_serial_replay() {
     const N: usize = 150;
@@ -101,7 +81,7 @@ fn one_ball_batch_fully_serializes_and_matches_serial_replay() {
         .map(|_| {
             let u = rng.gen_range(0..N);
             // all destinations inside half a radius of the hot spot —
-            // one shared 3-ball, every pair of claims conflicts
+            // one shared 3-ball, every pair of repair regions overlaps
             let q = Point::new(
                 hot.x + (rng.gen::<f64>() - 0.5) * RADIUS,
                 hot.y + (rng.gen::<f64>() - 0.5) * RADIUS,
@@ -112,26 +92,20 @@ fn one_ball_batch_fully_serializes_and_matches_serial_replay() {
 
     for threads in THREAD_SWEEP {
         let mut net = MaintainedWcds::with_threads(initial.clone(), RADIUS, threads);
-        let plan = plan_batch(&claims_for(&net, &moves));
-        assert_eq!(
-            plan.max_concurrency, 1,
-            "conflicting destinations must serialize completely"
-        );
-        assert_eq!(plan.waves.len(), MOVES, "one wave per claim under total conflict");
-        assert_eq!(plan.waits, MOVES as u64 - 1);
-        apply_in_waves(&mut net, &moves, &plan);
+        net.apply_motion(&moves);
         assert_matches_serial(&net, &initial, &moves, &format!("one-ball, {threads} threads"));
     }
 }
 
-/// Moves in clusters farther apart than two claim blocks: one wave,
-/// full concurrency, exact state.
+/// Moves in clusters far apart, each repair region disjoint from the
+/// others: the whole batch runs as one wave (one coalesced pass), and
+/// the state is exact.
 #[test]
 fn spread_batch_runs_one_wave_and_matches_serial_replay() {
     const CLUSTERS: usize = 8;
     const PER_CLUSTER: usize = 16;
-    // cluster spacing: > 2·(2·CLAIM_RADIUS_CELLS + 1) cells keeps even
-    // worst-aligned ±8-cell claim blocks disjoint across clusters
+    // cluster spacing: forty radii keeps every repair region (at most
+    // eight radii from its move) disjoint across clusters
     const SPACING: f64 = 40.0;
     const CLUSTER_SIDE: f64 = 3.0;
 
@@ -146,7 +120,7 @@ fn spread_batch_runs_one_wave_and_matches_serial_replay() {
         .map(|c| {
             let u = c * PER_CLUSTER + rng.gen_range(0..PER_CLUSTER);
             let p = initial[u];
-            // drift inside the home cluster so the claim stays local
+            // drift inside the home cluster so the repair stays local
             let q = Point::new(
                 (p.x + (rng.gen::<f64>() - 0.5) * 0.8)
                     .clamp(c as f64 * SPACING, c as f64 * SPACING + CLUSTER_SIDE),
@@ -158,14 +132,7 @@ fn spread_batch_runs_one_wave_and_matches_serial_replay() {
 
     for threads in THREAD_SWEEP {
         let mut net = MaintainedWcds::with_threads(initial.clone(), RADIUS, threads);
-        let plan = plan_batch(&claims_for(&net, &moves));
-        assert_eq!(plan.waves.len(), 1, "disjoint claims must share one wave");
-        assert_eq!(
-            plan.max_concurrency, CLUSTERS,
-            "every spread claim proceeds concurrently"
-        );
-        assert_eq!((plan.waits, plan.conflicts), (0u64, 0u64));
-        apply_in_waves(&mut net, &moves, &plan);
+        net.apply_motion(&moves);
         assert_matches_serial(&net, &initial, &moves, &format!("spread, {threads} threads"));
     }
 }
@@ -242,8 +209,9 @@ fn report_changed_iff_wcds_partition_changed() {
     assert!(quiet > 0, "trace never exercised the quiet (patchable) path");
 }
 
-/// A long randomized drift trace applied tick-by-tick through the wave
-/// scheduler stays exact against serial replay at every thread count.
+/// A long randomized drift trace applied tick-by-tick, one coalesced
+/// `apply_motion` per tick, stays exact against serial replay at every
+/// thread count.
 #[test]
 fn randomized_drift_ticks_stay_exact_across_thread_counts() {
     const N: usize = 120;
@@ -279,8 +247,7 @@ fn randomized_drift_ticks_stay_exact_across_thread_counts() {
     for threads in THREAD_SWEEP {
         let mut net = MaintainedWcds::with_threads(initial.clone(), RADIUS, threads);
         for tick in &ticks {
-            let plan = plan_batch(&claims_for(&net, tick));
-            apply_in_waves(&mut net, tick, &plan);
+            net.apply_motion(tick);
         }
         assert_eq!(net.graph(), serial.graph(), "{threads} threads: CSR diverged");
         assert_eq!(

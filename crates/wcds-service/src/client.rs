@@ -331,13 +331,13 @@ impl Client {
     }
 
     /// Ships a whole mutation batch (a drift tick) in one frame,
-    /// applied under a single region lease with coalesced repairs.
-    /// All-or-nothing: any invalid id rejects the batch server-side
-    /// before anything is applied. The returned outcome's epoch is the
-    /// batch's final position in the topology's mutation log — a batch
-    /// of `applied` mutations occupied epochs
-    /// `epoch − applied + 1 ..= epoch` — and `lease_wait_us` is the
-    /// admission queueing time, excluded from service time.
+    /// applied under one hold of the topology write lock with coalesced
+    /// repairs. All-or-nothing: any invalid id rejects the batch
+    /// server-side before anything is applied. The returned outcome's
+    /// epoch is the batch's final position in the topology's mutation
+    /// log — a batch of `applied` mutations occupied epochs
+    /// `epoch − applied + 1 ..= epoch`; `lease_wait_us` is always 0,
+    /// kept for wire compatibility.
     ///
     /// # Errors
     ///

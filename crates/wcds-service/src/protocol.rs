@@ -108,13 +108,12 @@ pub enum Request {
     /// Rebuilds the bundle eagerly and enables degraded-mode serving.
     Harden { name: String, k: u64, m: u64 },
     /// Apply a whole vector of mutations in one frame (a drift tick).
-    /// The batch is admitted through the region-lease scheduler:
-    /// mutations on disjoint 3-balls coalesce into concurrent repair
-    /// waves, conflicting ones apply in FIFO order, and the final state
-    /// is byte-identical to applying the same mutations one
-    /// [`Request::Mutate`] at a time. Validation is all-or-nothing: an
-    /// out-of-range node id anywhere in the batch rejects the whole
-    /// frame before any mutation applies.
+    /// The batch is validated and applied under one hold of the
+    /// topology write lock: each run of moves coalesces into one
+    /// repair, and the final state is byte-identical to applying the
+    /// same mutations one [`Request::Mutate`] at a time. Validation is
+    /// all-or-nothing: an out-of-range node id anywhere in the batch
+    /// rejects the whole frame before any mutation applies.
     MutateBatch { name: String, mutations: Vec<Mutation> },
 }
 
@@ -197,17 +196,17 @@ pub struct TopologyStats {
     pub routes_unreachable: u64,
     /// Background heals that installed a fresh bundle.
     pub heals: u64,
-    /// Mutations that had to wait behind a conflicting earlier claim in
-    /// the region-lease scheduler (queued live admissions plus batch
-    /// mutations scheduled into a later repair wave).
+    /// Always 0, kept for wire compatibility: mutations wait on the
+    /// topology write lock, not in an admission queue.
     pub lease_waits: u64,
-    /// Conflicting (claim, earlier-claim) pairs the lease scheduler
-    /// detected.
+    /// Always 0, kept for wire compatibility: no admission scheduler
+    /// looks for conflicting mutations.
     pub lease_conflicts: u64,
     /// Mutations received through [`Request::MutateBatch`] frames.
     pub batched_mutations: u64,
-    /// Peak number of repairs admitted concurrently (widest batch wave
-    /// or largest granted lease set observed).
+    /// 0 until a mutation has been applied, 1 after: repairs run one
+    /// at a time under the topology write lock. Kept for wire
+    /// compatibility.
     pub concurrent_repairs_max: u64,
     /// Published-slot loads for this topology: every read that cloned
     /// the published bundle out of its slot.
@@ -322,19 +321,17 @@ pub enum Response {
     /// a proportional payload back.
     BatchMutated {
         /// Epoch after the whole batch; the batch's mutations occupy
-        /// epochs `epoch - applied + 1 ..= epoch` in lease-commit
-        /// order.
+        /// epochs `epoch - applied + 1 ..= epoch` in commit order.
         epoch: u64,
-        /// Mutations applied (the full batch; admission is
+        /// Mutations applied (the full batch; validation is
         /// all-or-nothing).
         applied: u64,
         /// Nodes that became dominators over the whole batch.
         promoted: u64,
         /// Nodes that stopped being dominators over the whole batch.
         demoted: u64,
-        /// Microseconds the batch spent queued behind conflicting
-        /// leases before its repairs ran — excluded from service time
-        /// by accounting clients.
+        /// Always 0, kept for wire compatibility: time spent waiting
+        /// for the topology lock is service time.
         lease_wait_us: u64,
     },
 }

@@ -1,4 +1,4 @@
-//! Epoch-cached topology store with region-lease mutation scheduling.
+//! Epoch-cached topology store.
 //!
 //! Named topologies live in one name map behind an `RwLock`: a lookup
 //! clones the entry's `Arc` under the read lock, and create/drop take
@@ -7,20 +7,13 @@
 //! * a **mutation epoch**: a per-topology atomic, 0 at ingest,
 //!   advanced once per applied maintenance mutation (join / leave /
 //!   move, executed by `wcds_core::maintenance::MaintainedWcds`) in
-//!   lease-commit order while the topology write lock is held;
+//!   commit order while the topology write lock is held;
 //! * a **published artifact bundle** — Algorithm II WCDS, the
 //!   weakly-induced spanner, clusterhead routing tables, and the
 //!   backbone broadcast plan (itself derived only on the first
 //!   broadcast query) — stamped with the epoch it was built at and
 //!   kept in its own `RwLock`ed slot, apart from the topology lock,
-//!   so readers never block on a repair;
-//! * a **region-lease table** (`wcds_core::maintenance::lease`): a
-//!   mutation claims the grid cells conservatively covering
-//!   `ball(site, 3)` before touching the topology. Disjoint claims
-//!   are admitted concurrently; overlapping claims queue FIFO on a
-//!   condvar — crucially *without* holding the topology lock, so a
-//!   queued mutation blocks neither readers nor disjoint writers,
-//!   and the wait is accounted separately from service time.
+//!   so readers never block on a repair.
 //!
 //! A query whose bundle stamp equals the current epoch is a **cache
 //! hit** and is served entirely from the published bundle: it takes
@@ -29,25 +22,23 @@
 //! (`cache_hit_reads_complete_while_a_repair_holds_the_topology_lock`).
 //! A mutation advances the epoch; the next query observes the stale
 //! stamp, rebuilds under the topology write lock, and republishes.
-//! [`Store::mutate_batch`] applies a whole drift tick under one
-//! lease: its move-runs are planned into FIFO waves of pairwise
-//! disjoint claims and each wave is coalesced into a single
-//! `apply_motion` worklist pass (one cascade over the union of the
-//! disturbed regions, refresh sweeps fanned out on the parallel
-//! engine). Hit / miss / rebuild / lease counters are atomics so the
-//! read path never needs a write lock.
+//!
+//! Mutations serialize on the topology write lock: [`Store::mutate`]
+//! and [`Store::mutate_batch`] validate and apply under one hold of
+//! it, so a rejected batch applies nothing and the epoch order is the
+//! commit order. A batch (a drift tick) coalesces each maximal run of
+//! moves into a single `apply_motion` worklist pass (one cascade over
+//! the union of the disturbed regions, refresh sweeps fanned out on
+//! the parallel engine). Hit / miss / rebuild counters are atomics so
+//! the read path never needs a write lock.
 
 use crate::protocol::{ErrorCode, Mutation, TopologyStats};
 use crate::rebuild::{read_check, write_check, EpochView, ReadDecision, WriteDecision};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{
-    Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
-use std::time::Instant;
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use wcds_core::algo2::AlgorithmTwo;
-use wcds_core::maintenance::lease::{plan_batch, site_cells, Admission, LeaseTable, Scope, Ticket};
 use wcds_core::maintenance::{MaintainedWcds, RepairReport};
 use wcds_core::resilient::{ResilientBackbone, ResilientParams};
 use wcds_core::Wcds;
@@ -275,20 +266,18 @@ impl Topology {
 
 /// One stored topology: maintained state behind its own `RwLock`, the
 /// published bundle in a separate `RwLock`ed slot (so readers never
-/// block on a repair), the lease table behind a mutex + condvar, and
-/// counters outside all of them.
+/// block on a repair), and counters outside both.
 ///
 /// **Lock discipline:** no code path acquires one of this entry's
 /// locks while holding another. Writers read `published` *before*
-/// taking the topology lock and publish *after* dropping it; lease
-/// admission happens entirely before the topology lock is touched.
-/// That ordering is what makes the nested-lock lint trivially clean
-/// and deadlock impossible by construction.
+/// taking the topology lock and publish *after* dropping it. That
+/// ordering is what makes the nested-lock lint trivially clean and
+/// deadlock impossible by construction.
 #[derive(Debug)]
 struct Entry {
     topo: RwLock<Topology>,
     /// Mutation epoch: 0 at ingest, advanced once per applied mutation
-    /// (in lease-commit order) while the topology write lock is held —
+    /// (in commit order) while the topology write lock is held —
     /// so it is frozen under that lock, and lock-free to read.
     epoch: AtomicU64,
     /// The published artifact bundle. Replaced only through
@@ -309,11 +298,6 @@ struct Entry {
     /// Published-slot loads ([`Entry::load_published`]): every read
     /// that cloned the published bundle.
     snapshot_reads: AtomicU64,
-    /// Region-lease table scheduling mutation admission (see
-    /// [`wcds_core::maintenance::lease`]).
-    leases: Mutex<LeaseTable>,
-    /// Wakes queued claims when a lease release admits them.
-    lease_cv: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
     rebuilds: AtomicU64,
@@ -327,18 +311,8 @@ struct Entry {
     heals: AtomicU64,
     /// Guards against stacking heal threads: only one in flight.
     healing: AtomicBool,
-    /// Admissions that had to queue behind a conflicting claim (live
-    /// requests) plus batch mutations planned into a wave later than
-    /// the first.
-    lease_waits: AtomicU64,
-    /// Conflicting (claim, earlier-claim) pairs observed at admission
-    /// and wave-planning time.
-    lease_conflicts: AtomicU64,
     /// Mutations received through [`Store::mutate_batch`].
     batched_mutations: AtomicU64,
-    /// High-water mark of concurrently admitted repairs (live leases in
-    /// flight, or the widest batch wave).
-    concurrent_repairs_max: AtomicU64,
 }
 
 /// `stamp` value meaning "no bundle has ever been published".
@@ -356,8 +330,6 @@ impl Entry {
             hardened_k: AtomicU64::new(0),
             hardened_m: AtomicU64::new(0),
             snapshot_reads: AtomicU64::new(0),
-            leases: Mutex::new(LeaseTable::new()),
-            lease_cv: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
@@ -366,10 +338,7 @@ impl Entry {
             routes_unreachable: AtomicU64::new(0),
             heals: AtomicU64::new(0),
             healing: AtomicBool::new(false),
-            lease_waits: AtomicU64::new(0),
-            lease_conflicts: AtomicU64::new(0),
             batched_mutations: AtomicU64::new(0),
-            concurrent_repairs_max: AtomicU64::new(0),
         }
     }
 
@@ -430,46 +399,6 @@ fn publish(entry: &Entry, bundle: Arc<Bundle>) {
         }
     };
     drop(loser);
-}
-
-/// Claims `scope` on the entry's lease table. Disjoint claims are
-/// admitted immediately; a conflicting claim queues FIFO on the
-/// condvar until every older conflicting lease is released. Returns
-/// the ticket and the admission wait in microseconds — queueing, not
-/// service, reported separately so tail-latency numbers describe
-/// repair work.
-///
-/// Deadlock-free by construction: acquisition is all-or-nothing (a
-/// claim never holds some cells while waiting for others) and the
-/// caller holds no other lock.
-fn acquire_lease(entry: &Entry, scope: Scope) -> Result<(Ticket, u64), StoreError> {
-    let poisoned = || err(ErrorCode::Internal, "lease table poisoned by a panicked holder");
-    let mut table = entry.leases.lock().map_err(|_| poisoned())?;
-    let (ticket, admission) = table.acquire(scope);
-    if admission == Admission::Granted {
-        entry.concurrent_repairs_max.fetch_max(table.in_flight() as u64, Ordering::Relaxed);
-        return Ok((ticket, 0));
-    }
-    entry.lease_waits.fetch_add(1, Ordering::Relaxed);
-    entry.lease_conflicts.fetch_add(1, Ordering::Relaxed);
-    let started = Instant::now();
-    while !table.is_granted(ticket) {
-        table = entry.lease_cv.wait(table).map_err(|_| poisoned())?;
-    }
-    entry.concurrent_repairs_max.fetch_max(table.in_flight() as u64, Ordering::Relaxed);
-    Ok((ticket, u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)))
-}
-
-/// Releases a lease and wakes the waiters the release admitted (the
-/// condvar is notified after the table lock is dropped).
-fn release_lease(entry: &Entry, ticket: Ticket) {
-    let admitted = match entry.leases.lock() {
-        Ok(mut table) => table.release(ticket),
-        Err(_) => return, // poisoned: the store is already failing Internal
-    };
-    if !admitted.is_empty() {
-        entry.lease_cv.notify_all();
-    }
 }
 
 /// Outcome of a route query: a served path, or an honest account of a
@@ -535,8 +464,8 @@ pub struct BatchOutcome {
     pub promoted: u64,
     /// Total dominator demotions across the batch's repairs.
     pub demoted: u64,
-    /// Time the batch spent queued for its lease, in microseconds —
-    /// admission wait, excluded from service time.
+    /// Always 0, kept for wire compatibility: no admission queue exists,
+    /// and time spent waiting for the topology lock is service time.
     pub lease_wait_us: u64,
 }
 
@@ -557,106 +486,27 @@ fn oob_err(node: NodeId, n: usize) -> StoreError {
     err(ErrorCode::OutOfRange, format!("node {node} ≥ n = {n}"))
 }
 
-/// Computes the conservative grid-cell claim for one mutation against a
-/// topology snapshot, validating what can be validated before the lease
-/// is taken (mobility, id range). Claims use cell radius arithmetic
-/// only — [`wcds_core::maintenance::lease::CLAIM_RADIUS_CELLS`] cells
-/// around every disturbed site, the grid cell being the radio radius —
-/// so no graph walk runs before admission, and the claim travels in
-/// site form ([`Scope::Blocks`]) so admission never materializes the
-/// block cells. A `Leave` claims [`Scope::All`]: id compaction renames
-/// every node above the victim, so nothing may be admitted
-/// concurrently with it.
-fn claim_for(name: &str, topo: &Topology, mutation: &Mutation) -> Result<Scope, StoreError> {
-    let Body::Mobile(m) = &topo.body else {
-        return Err(static_err(name));
-    };
-    let cell = m.radius();
-    match *mutation {
-        Mutation::Join { x, y } => Ok(Scope::Blocks(site_cells(&[Point::new(x, y)], cell))),
-        Mutation::Leave { node } => {
-            if node >= m.graph().node_count() {
-                return Err(oob_err(node, m.graph().node_count()));
-            }
-            Ok(Scope::All)
-        }
-        Mutation::Move { node, x, y } => {
-            let old = m
-                .points()
-                .get(node)
-                .copied()
-                .ok_or_else(|| oob_err(node, m.graph().node_count()))?;
-            Ok(Scope::Blocks(site_cells(&[old, Point::new(x, y)], cell)))
-        }
-    }
-}
-
-/// Validates a whole batch against a topology snapshot and computes
-/// each mutation's claim. All-or-nothing: any invalid id rejects the
-/// batch before anything is applied. Ids are interpreted in
-/// batch-application order — a `Leave` shifts later ids exactly as the
-/// serial replay would — by simulating the position vector on a local
-/// clone, never touching the real state.
-fn batch_claims(
-    name: &str,
-    topo: &Topology,
-    mutations: &[Mutation],
-) -> Result<Vec<Scope>, StoreError> {
-    let Body::Mobile(m) = &topo.body else {
-        return Err(static_err(name));
-    };
-    let cell = m.radius();
-    let mut pts: Vec<Point> = m.points().to_vec();
-    let mut claims = Vec::with_capacity(mutations.len());
+/// Checks every id in a batch against a running node count — a join
+/// adds a node, a leave removes one — so each id means what it would
+/// mean in a serial replay of the batch. The caller holds the topology
+/// write lock that applies the batch, so a rejected batch applies
+/// nothing.
+fn validate_batch(mutations: &[Mutation], mut n: usize) -> Result<(), StoreError> {
     for mu in mutations {
         match *mu {
-            Mutation::Join { x, y } => {
-                let p = Point::new(x, y);
-                pts.push(p);
-                claims.push(Scope::Blocks(site_cells(&[p], cell)));
+            Mutation::Join { .. } => n += 1,
+            Mutation::Leave { node } | Mutation::Move { node, .. } if node >= n => {
+                return Err(oob_err(node, n));
             }
-            Mutation::Leave { node } => {
-                if node >= pts.len() {
-                    return Err(oob_err(node, pts.len()));
-                }
-                pts.remove(node);
-                claims.push(Scope::All);
-            }
-            Mutation::Move { node, x, y } => {
-                let p = Point::new(x, y);
-                let n = pts.len();
-                let slot = pts.get_mut(node).ok_or_else(|| oob_err(node, n))?;
-                let old = *slot;
-                *slot = p;
-                claims.push(Scope::Blocks(site_cells(&[old, p], cell)));
-            }
+            Mutation::Leave { .. } => n -= 1,
+            Mutation::Move { .. } => {}
         }
     }
-    Ok(claims)
+    Ok(())
 }
 
-/// Folds per-mutation claims into the single batch-level lease scope.
-/// The store only emits site-form claims (`Blocks` / `All`), so the
-/// union stays in site form — one sorted, deduplicated site list per
-/// batch, never a materialized cell set. Explicit `Cells` claims (none
-/// today) are widened to the blocks around them, which is conservative
-/// and therefore safe for a scheduling predicate.
-fn union_scope(claims: &[Scope]) -> Scope {
-    let mut sites = Vec::new();
-    for c in claims {
-        match c {
-            Scope::All => return Scope::All,
-            Scope::Blocks(v) | Scope::Cells(v) => sites.extend_from_slice(v),
-        }
-    }
-    // sorted + deduped is the Scope list invariant
-    sites.sort_unstable();
-    sites.dedup();
-    Scope::Blocks(sites)
-}
-
-/// Splits a batch into maximal `Move` runs (coalesced into repair
-/// waves) and single `Join` / `Leave` barriers (membership changes
+/// Splits a batch into maximal `Move` runs (each coalesced into one
+/// repair) and single `Join` / `Leave` barriers (membership changes
 /// alter the id space, so they serialize).
 fn segments(mutations: &[Mutation]) -> Vec<&[Mutation]> {
     let mut out = Vec::new();
@@ -695,11 +545,11 @@ fn patch_bundle(g: &Graph, prior: &Bundle, report: &RepairReport, epoch: u64) ->
     })
 }
 
-/// Applies one mutation under the topology write lock (the caller
-/// already holds the lease). Returns the post-mutation epoch, the
-/// repair report, and — when the repair preserved every dominator and
-/// the previously published bundle was exactly one epoch behind — a
-/// patched bundle for the caller to publish after the lock is dropped.
+/// Validates and applies one mutation under the topology write lock.
+/// Returns the post-mutation epoch, the repair report, and — when the
+/// repair preserved every dominator and the previously published
+/// bundle was exactly one epoch behind — a patched bundle for the
+/// caller to publish after the lock is dropped.
 ///
 /// The prior bundle is loaded *before* the topology lock is taken; a
 /// racing publish in between merely disables the patch (the
@@ -749,19 +599,17 @@ fn apply_one(
     Ok((epoch, report, patch))
 }
 
-/// Applies a validated batch under the topology write lock, walking
-/// its segments in order: each `Move` run is wave-planned for the
-/// admission counters and then coalesced into **one** `apply_motion`
-/// repair (one worklist pass over the union of the run's disturbed
-/// regions); `Join` / `Leave` segments apply singly. Maintains a
-/// running patched-bundle chain (dropped on dominator churn, a leave,
-/// or a hardened topology) so a quiet batch still leaves the cache
-/// hot.
+/// Validates a batch and applies it under one hold of the topology
+/// write lock, walking its segments in order: each `Move` run is
+/// coalesced into **one** `apply_motion` repair (one worklist pass over
+/// the union of the run's disturbed regions); `Join` / `Leave`
+/// segments apply singly. Maintains a running patched-bundle chain
+/// (dropped on dominator churn, a leave, or a hardened topology) so a
+/// quiet batch still leaves the cache hot.
 fn apply_batch(
     entry: &Entry,
     name: &str,
     mutations: &[Mutation],
-    claims: &[Scope],
 ) -> Result<(BatchOutcome, Option<Arc<Bundle>>), StoreError> {
     let prior = entry.load_published();
     let mut topo = write_guard(&entry.topo)?;
@@ -770,6 +618,7 @@ fn apply_batch(
     let Body::Mobile(m) = &mut t.body else {
         return Err(static_err(name));
     };
+    validate_batch(mutations, m.graph().node_count())?;
     let mut epoch = entry.epoch.load(Ordering::Acquire);
     // the chain invariant: `chain` is Some(b) only while b.epoch equals
     // the running epoch, i.e. the bundle is exactly current
@@ -777,36 +626,20 @@ fn apply_batch(
     let mut promoted = 0u64;
     let mut demoted = 0u64;
     let mut leave_seen = false;
-    let mut off = 0usize;
     for seg in segments(mutations) {
-        let seg_claims = claims.get(off..off + seg.len()).unwrap_or(&[]);
-        off += seg.len();
         match seg.first() {
             Some(Mutation::Move { .. }) => {
-                // the wave plan is *accounting*: what the live table
-                // would have admitted had each move arrived alone
-                // (waits, conflict pairs, peak admissible concurrency).
-                // Application does not serialize on it — the maintained
-                // state is a pure function of the final positions
-                // (release-asserted against serial replay), so the
-                // whole run coalesces into ONE worklist repair over the
-                // union of its disturbed regions
-                let plan = plan_batch(seg_claims);
-                entry.lease_waits.fetch_add(plan.waits, Ordering::Relaxed);
-                entry.lease_conflicts.fetch_add(plan.conflicts, Ordering::Relaxed);
-                entry
-                    .concurrent_repairs_max
-                    .fetch_max(plan.max_concurrency as u64, Ordering::Relaxed);
-                let mut moves = Vec::with_capacity(seg.len());
-                for mu in seg {
-                    if let Mutation::Move { node, x, y } = *mu {
-                        let n = m.graph().node_count();
-                        if node >= n {
-                            return Err(oob_err(node, n));
-                        }
-                        moves.push((node, Point::new(x, y)));
-                    }
-                }
+                // the maintained state is a pure function of the final
+                // positions (release-asserted against serial replay),
+                // so the whole run coalesces into ONE worklist repair
+                // over the union of its disturbed regions
+                let moves: Vec<(NodeId, Point)> = seg
+                    .iter()
+                    .filter_map(|mu| match *mu {
+                        Mutation::Move { node, x, y } => Some((node, Point::new(x, y))),
+                        _ => None,
+                    })
+                    .collect();
                 let report = m.apply_motion(&moves);
                 let step = moves.len() as u64;
                 epoch = entry.epoch.fetch_add(step, Ordering::AcqRel) + step;
@@ -826,10 +659,6 @@ fn apply_batch(
                     .map(|b| patch_bundle(m.graph(), &b, &report, epoch));
             }
             Some(&Mutation::Leave { node }) => {
-                let n = m.graph().node_count();
-                if node >= n {
-                    return Err(oob_err(node, n));
-                }
                 let report = m.apply_leave(node);
                 epoch = entry.epoch.fetch_add(1, Ordering::AcqRel) + 1;
                 promoted += report.promoted.len() as u64;
@@ -1136,13 +965,10 @@ impl Store {
 
     /// Applies one maintenance mutation, advancing the epoch.
     ///
-    /// Admission goes through the entry's region-lease table first: the
-    /// mutation claims the grid cells conservatively covering its 3-hop
-    /// repair ball, proceeds immediately when no live claim overlaps,
-    /// and otherwise queues FIFO on the lease condvar — *without*
-    /// holding the topology lock, so a queued mutation blocks neither
-    /// readers nor disjoint mutations, and its wait is accounted as
-    /// queueing rather than service time.
+    /// The mutation is validated and applied under the topology write
+    /// lock, so mutations of one topology commit one at a time, in the
+    /// order they win that lock; the returned epoch is the mutation's
+    /// position in that order.
     ///
     /// When the repair left every dominator in place (the common case
     /// for small motions and absorbed joins) and the published bundle
@@ -1160,41 +986,30 @@ impl Store {
     /// `NotFound`, `Unsupported` (static topology), or `OutOfRange`.
     pub fn mutate(&self, name: &str, mutation: &Mutation) -> Result<(u64, RepairReport), StoreError> {
         let entry = self.entry(name)?;
-        let scope = {
-            let topo = read_guard(&entry.topo)?;
-            claim_for(name, &topo, mutation)?
-        };
-        let (ticket, _wait_us) = acquire_lease(&entry, scope)?;
-        let applied = apply_one(&entry, name, mutation);
-        release_lease(&entry, ticket);
-        let (epoch, report, patch) = applied?;
+        let (epoch, report, patch) = apply_one(&entry, name, mutation)?;
         if let Some(b) = patch {
             publish(&entry, b);
         }
         Ok((epoch, report))
     }
 
-    /// Applies a whole mutation batch (a drift tick) under **one**
-    /// region lease, coalescing its repairs.
+    /// Applies a whole mutation batch (a drift tick) under **one** hold
+    /// of the topology write lock, coalescing its repairs.
     ///
-    /// The batch is validated up front against a topology snapshot —
-    /// all-or-nothing, ids interpreted in batch order exactly as a
-    /// serial replay would — and claims one lease for the union of its
-    /// per-mutation scopes. Maximal `Move` runs are planned into FIFO
-    /// waves of pairwise-disjoint claims
-    /// ([`wcds_core::maintenance::lease::plan_batch`]) for the
-    /// admission counters (waits, conflict pairs, peak admissible
-    /// concurrency), then applied as **one** `apply_motion` call — a
-    /// single cascade worklist pass over the union of the run's
-    /// disturbed regions with the refresh sweeps fanned out on the
-    /// parallel engine. (The maintained state is a pure function of
-    /// the final positions, so one coalesced pass is byte-identical to
-    /// wave-by-wave or fully serial application.) `Join` / `Leave`
-    /// mutations are their own single-mutation barriers (they change
-    /// the id space). The epoch advances by each segment's size in
-    /// commit order, so a batch of `k` returning epoch `e` occupied
-    /// epochs `e − k + 1 ..= e`, and the final state is byte-identical
-    /// to applying the same mutations serially in that order.
+    /// The batch is validated under the same lock that applies it,
+    /// before anything is applied — all-or-nothing, ids interpreted in
+    /// batch order exactly as a serial replay would. Maximal `Move`
+    /// runs are applied as **one** `apply_motion` call — a single
+    /// cascade worklist pass over the union of the run's disturbed
+    /// regions with the refresh sweeps fanned out on the parallel
+    /// engine. (The maintained state is a pure function of the final
+    /// positions, so one coalesced pass is byte-identical to serial
+    /// application.) `Join` / `Leave` mutations are their own
+    /// single-mutation barriers (they change the id space). The epoch
+    /// advances by each segment's size in commit order, so a batch of
+    /// `k` returning epoch `e` occupied epochs `e − k + 1 ..= e`, and
+    /// the final state is byte-identical to applying the same
+    /// mutations serially in that order.
     ///
     /// # Errors
     ///
@@ -1216,18 +1031,11 @@ impl Store {
                 lease_wait_us: 0,
             });
         }
-        let claims = {
-            let topo = read_guard(&entry.topo)?;
-            batch_claims(name, &topo, mutations)?
-        };
-        let (ticket, lease_wait_us) = acquire_lease(&entry, union_scope(&claims))?;
-        let applied = apply_batch(&entry, name, mutations, &claims);
-        release_lease(&entry, ticket);
-        let (outcome, patch) = applied?;
+        let (outcome, patch) = apply_batch(&entry, name, mutations)?;
         if let Some(b) = patch {
             publish(&entry, b);
         }
-        Ok(BatchOutcome { lease_wait_us, ..outcome })
+        Ok(outcome)
     }
 
     /// Full statistics for one topology. Builds the bundle if stale, so
@@ -1275,10 +1083,12 @@ impl Store {
             routes_degraded: entry.routes_degraded.load(Ordering::Relaxed),
             routes_unreachable: entry.routes_unreachable.load(Ordering::Relaxed),
             heals: entry.heals.load(Ordering::Relaxed),
-            lease_waits: entry.lease_waits.load(Ordering::Relaxed),
-            lease_conflicts: entry.lease_conflicts.load(Ordering::Relaxed),
+            lease_waits: 0,
+            lease_conflicts: 0,
             batched_mutations: entry.batched_mutations.load(Ordering::Relaxed),
-            concurrent_repairs_max: entry.concurrent_repairs_max.load(Ordering::Relaxed),
+            // every applied mutation advances the epoch, and repairs
+            // run one at a time under the topology write lock
+            concurrent_repairs_max: u64::from(bundle.epoch > 0),
             snapshot_reads: entry.snapshot_reads.load(Ordering::Relaxed),
             pipeline_depth_max: self.service.pipeline_depth_max.load(Ordering::Relaxed),
             syscalls: self.service.syscalls.load(Ordering::Relaxed),
