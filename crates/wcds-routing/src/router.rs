@@ -1,6 +1,7 @@
 //! Clusterhead unicast routing over the weakly-induced spanner.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::OnceLock;
 use wcds_core::Wcds;
 use wcds_graph::{traversal, Graph, NodeId};
 
@@ -14,7 +15,9 @@ use wcds_graph::{traversal, Graph, NodeId};
 ///   apart *through the spanner*, remembering the gateway nodes of one
 ///   shortest black path (the `2HopDomList` / `3HopDomList` state);
 /// * per-dominator **routing tables** give, for every destination
-///   dominator, the next dominator on a shortest dominator-level path.
+///   dominator, the next dominator on a shortest dominator-level path
+///   (lowest-index first hop among ties). They are filled on demand,
+///   64 destinations per sweep, so a build costs `O(heads + links)`.
 ///
 /// A packet from `s` to `t` travels `s → head(s) ⇝ head(t) → t`, with
 /// each dominator-to-dominator leg expanded through its recorded
@@ -43,21 +46,22 @@ pub struct BackboneRouter {
     /// dominator → (neighbor dominator → interior gateway nodes of one
     /// shortest black path)
     dom_links: BTreeMap<NodeId, BTreeMap<NodeId, Vec<NodeId>>>,
-    /// Sorted dominator ids — the row/column index space of `next_hop`.
+    /// Sorted dominator ids — the head-index space of `hops`.
     heads: Vec<NodeId>,
-    /// Flattened `heads.len()²` first-hop matrix: entry `s·k + d` holds
-    /// the head *index* of the next dominator from `heads[s]` toward
-    /// `heads[d]` ([`UNREACHABLE`] when no dominator-level path exists,
-    /// and on the diagonal). Dense on purpose: the table is rebuilt on
-    /// every bundle refresh, holds one `u32` per entry instead of a
-    /// tree node, and O(heads²) entries is already the routing-state
-    /// size this scheme carries by design.
-    next_hop: Vec<u32>,
+    /// The per-dominator routing tables, derived from `dom_links` on
+    /// demand: the dominator graph is indexed at build time, and each
+    /// batch of 64 destinations fills its first-hop columns on the
+    /// first route that needs one (see [`FirstHops`]).
+    hops: FirstHops,
     graph_edges: Graph,
 }
 
-/// `next_hop` sentinel: no dominator-level route.
+/// First-hop sentinel: no dominator-level route.
 const UNREACHABLE: u32 = u32::MAX;
+
+/// Destinations per first-hop column block: one bit of a `u64` lane
+/// mask each in the sweep that fills the block.
+const LANES: usize = 64;
 
 impl BackboneRouter {
     /// Builds the router state from a WCDS of `g`.
@@ -94,9 +98,9 @@ impl BackboneRouter {
             .iter()
             .map(|&h| (h, head_links(&mut scratch, &spanner, heads, h)))
             .collect();
-        let (heads, next_hop) = dominator_tables(&dom_links);
+        let (heads, hops) = FirstHops::index(&dom_links);
 
-        Self { spanner, clusterhead, dom_links, heads, next_hop, graph_edges: g.clone() }
+        Self { spanner, clusterhead, dom_links, heads, hops, graph_edges: g.clone() }
     }
 
     /// Rebuilds the router after a topology delta that did **not**
@@ -113,8 +117,8 @@ impl BackboneRouter {
     ///   endpoint set agree across the splice (truncate any path at its
     ///   first endpoint), so a farther head's radius-3 ball — and its
     ///   deterministic bounded BFS tree — is unchanged;
-    /// * dominator-level tables are rebuilt from the links (global by
-    ///   nature, but they hold only `O(|heads|²)` ids).
+    /// * the dominator graph is re-indexed from the links, and its
+    ///   first-hop columns start unfilled, as after `build`.
     ///
     /// `added`/`removed` are the graph edge delta in the post-mutation
     /// id space; `g` may have one more node than the router was built
@@ -179,10 +183,9 @@ impl BackboneRouter {
                 }
             }
         }
-        let (heads, next_hop) = dominator_tables(&dom_links);
+        let (heads, hops) = FirstHops::index(&dom_links);
 
-        let patched =
-            Self { spanner, clusterhead, dom_links, heads, next_hop, graph_edges: g.clone() };
+        let patched = Self { spanner, clusterhead, dom_links, heads, hops, graph_edges: g.clone() };
         debug_assert_eq!(patched, Self::build(g, wcds), "patched router diverged");
         patched
     }
@@ -201,21 +204,16 @@ impl BackboneRouter {
     }
 
     /// Routing-table size (number of destination entries) at dominator
-    /// `h`, or `None` if `h` is not a dominator.
+    /// `h` — every other dominator of its dominator-graph component —
+    /// or `None` if `h` is not a dominator.
     pub fn table_size(&self, h: NodeId) -> Option<usize> {
         let hi = self.heads.binary_search(&h).ok()?;
-        let k = self.heads.len();
-        Some(
-            self.next_hop[hi * k..(hi + 1) * k]
-                .iter()
-                .filter(|&&hop| hop != UNREACHABLE)
-                .count(),
-        )
+        self.hops.reach.get(hi).map(|&r| r as usize)
     }
 
     /// Total routing-state entries across all dominators.
     pub fn total_state(&self) -> usize {
-        self.next_hop.iter().filter(|&&hop| hop != UNREACHABLE).count()
+        self.hops.reach.iter().map(|&r| r as usize).sum::<usize>()
             + self.dom_links.values().map(|l| l.values().map(|g| g.len() + 1).sum::<usize>()).sum::<usize>()
     }
 
@@ -224,6 +222,11 @@ impl BackboneRouter {
     ///
     /// Returns `None` when the backbone has no dominator-level route
     /// (disconnected network).
+    ///
+    /// The first route toward a destination batch after a build or
+    /// patch fills that batch's first-hop block (one bit-parallel BFS
+    /// over the dominator graph); later routes into the batch only read
+    /// it, and concurrent first routes wait for one fill.
     ///
     /// # Panics
     ///
@@ -242,22 +245,22 @@ impl BackboneRouter {
         if hs != s {
             path.push(hs);
         }
-        // dominator chain hs ⇝ ht
+        // dominator chain hs ⇝ ht, every hop read from ht's column
         let ti = self.heads.binary_search(&ht).ok()?;
-        let k = self.heads.len();
-        let mut cur = hs;
-        while cur != ht {
-            let ci = self.heads.binary_search(&cur).ok()?;
-            let hop = self.next_hop[ci * k + ti];
-            if hop == UNREACHABLE {
-                return None;
+        let mut ci = self.heads.binary_search(&hs).ok()?;
+        if ci != ti {
+            let column = self.hops.column(ti)?;
+            let mut cur = hs;
+            while ci != ti {
+                let hop = column.hop(ci)?;
+                if hop == UNREACHABLE {
+                    return None;
+                }
+                let next = *self.heads.get(hop as usize)?;
+                path.extend_from_slice(self.dom_links.get(&cur)?.get(&next)?);
+                path.push(next);
+                (ci, cur) = (hop as usize, next);
             }
-            let next = self.heads[hop as usize];
-            for &gw in &self.dom_links[&cur][&next] {
-                path.push(gw);
-            }
-            path.push(next);
-            cur = next;
         }
         if ht != t {
             path.push(t);
@@ -365,58 +368,278 @@ fn head_links(
     links
 }
 
-/// Dominator-level routing tables: BFS on the dominator graph from each
-/// head, recording the first dominator hop toward every destination.
-/// Returns the sorted head list and the flat row-major first-hop matrix
-/// (`UNREACHABLE` off the backbone and on the diagonal).
+/// Dominator-level routing tables, filled on demand.
 ///
-/// The dominator graph is indexed into dense arrays once, so the
-/// `O(|heads|²)` all-pairs sweep runs over integer adjacency lists and
-/// writes each BFS straight into its matrix row — zero allocation per
-/// head; this sweep runs on every bundle rebuild, so it has to stay
-/// allocation-light. Neighbor lists preserve the sorted key order of
-/// `dom_links`, which keeps the BFS tie-breaking (and therefore every
-/// table entry) identical to a map-based walk.
-fn dominator_tables(
-    dom_links: &BTreeMap<NodeId, BTreeMap<NodeId, Vec<NodeId>>>,
-) -> (Vec<NodeId>, Vec<u32>) {
-    let heads: Vec<NodeId> = dom_links.keys().copied().collect();
-    let k = heads.len();
-    assert!(k < UNREACHABLE as usize, "head count overflows the hop matrix");
-    let index_of = |v: NodeId| -> u32 {
-        match heads.binary_search(&v) {
-            Ok(i) => i as u32,
-            Err(_) => {
-                debug_assert!(false, "link target {v} is not a head");
-                UNREACHABLE // dropped below; the entry stays unroutable
-            }
-        }
-    };
-    let adj: Vec<Vec<u32>> = heads
-        .iter()
-        .map(|h| {
-            dom_links[h].keys().map(|&nb| index_of(nb)).filter(|&ix| ix != UNREACHABLE).collect()
-        })
-        .collect();
+/// Destinations are split into batches of [`LANES`], and each batch
+/// owns one block that the first route toward any of its destinations
+/// fills with a bit-parallel multi-source BFS over the [`DomGraph`]
+/// (MS-BFS, Then et al., VLDB 2015): a build costs `O(heads + links)`,
+/// and a tick's bundle serves routes after one batch instead of after
+/// the whole `|heads|²` table.
+///
+/// A head first reached for destination `j` at level `ℓ` takes as its
+/// hop the **lowest-index neighbour** whose level-`ℓ−1` frontier holds
+/// `j`. That is exactly the entry a per-source FIFO BFS records:
+/// its queue stays ordered by first-hop index within each level, so a
+/// node inherits the smallest first hop among its previous-level
+/// neighbours, i.e. the lowest-index neighbour of the source on a
+/// shortest path. Distances are symmetric (the spanner is undirected,
+/// so dominator links are mutual), which lets one sweep from the
+/// destinations stand in for a BFS from every source.
+#[derive(Debug, Clone)]
+struct FirstHops {
+    graph: DomGraph,
+    /// Heads in batch order: batch `b` holds the destinations
+    /// `order[64·b..64·b + 64]` (see [`DomGraph::balls`]).
+    order: Vec<u32>,
+    /// Position of each head in `order`: batch `rank / 64`, lane
+    /// `rank % 64`.
+    rank: Vec<u32>,
+    /// Per head, its routing-table size (see [`DomGraph::reach`]).
+    reach: Vec<u32>,
+    /// One block per batch of `w ≤ 64` destinations: entry `s·w + lane`
+    /// is the head index of the next dominator from head `s` toward the
+    /// batch's destination in `lane` ([`UNREACHABLE`] when no
+    /// dominator-level path exists, and on the diagonal). Source-major,
+    /// so the sweep's writes for one head share a few cache lines.
+    blocks: Box<[OnceLock<Box<[u32]>>]>,
+}
 
-    let mut next_hop = vec![UNREACHABLE; k * k];
-    let mut queue = std::collections::VecDeque::new();
-    for hi in 0..k {
-        let row = &mut next_hop[hi * k..(hi + 1) * k];
-        queue.clear();
-        queue.push_back(hi as u32);
-        row[hi] = hi as u32; // sentinel: the source is its own hop
-        while let Some(cur) = queue.pop_front() {
-            for &nb in &adj[cur as usize] {
-                if row[nb as usize] == UNREACHABLE {
-                    row[nb as usize] = if cur as usize == hi { nb } else { row[cur as usize] };
-                    queue.push_back(nb);
+/// Equal when the dominator graphs are: every other field, the blocks
+/// included, is a function of it, and whether a block has been filled
+/// yet is not part of the value.
+impl PartialEq for FirstHops {
+    fn eq(&self, other: &Self) -> bool {
+        self.graph == other.graph
+    }
+}
+
+impl Eq for FirstHops {}
+
+/// The dominator graph in head-index space, as a CSR whose rows are
+/// ascending: the tie-break order of the first-hop rule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct DomGraph {
+    /// Head `i`'s neighbours are `targets[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+}
+
+impl DomGraph {
+    fn new(heads: &[NodeId], dom_links: &BTreeMap<NodeId, BTreeMap<NodeId, Vec<NodeId>>>) -> Self {
+        let mut offsets = Vec::with_capacity(heads.len() + 1);
+        let mut targets = Vec::new();
+        offsets.push(0);
+        for links in dom_links.values() {
+            debug_assert!(
+                links.keys().all(|nb| heads.binary_search(nb).is_ok()),
+                "link target is not a head"
+            );
+            // sorted keys map to ascending indices
+            targets.extend(links.keys().filter_map(|nb| heads.binary_search(nb).ok()).map(|i| i as u32));
+            offsets.push(targets.len());
+        }
+        Self { offsets, targets }
+    }
+
+    /// Number of heads.
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Dominator neighbours of head `i`, ascending.
+    fn neighbours(&self, i: u32) -> &[u32] {
+        let i = i as usize;
+        match (self.offsets.get(i), self.offsets.get(i + 1)) {
+            (Some(&lo), Some(&hi)) => self.targets.get(lo..hi).unwrap_or_default(),
+            _ => &[],
+        }
+    }
+
+    /// Orders the heads into batches of [`LANES`], each grown as a BFS
+    /// ball over the heads not yet placed, seeded at the lowest unplaced
+    /// index (and reseeded there when a ball runs dry before the batch
+    /// is full). Nearby destinations reach any head at nearly the same
+    /// level, so a batch's sweep revisits each head on few levels.
+    fn balls(&self) -> Vec<u32> {
+        let mut placed = vec![false; self.len()];
+        let mut order = Vec::with_capacity(self.len());
+        let mut queue = VecDeque::new();
+        for seed in 0..self.len() as u32 {
+            queue.push_back(seed);
+            while let Some(u) = queue.pop_front() {
+                match placed.get_mut(u as usize) {
+                    Some(p) if !*p => *p = true,
+                    _ => continue,
+                }
+                order.push(u);
+                if order.len() % LANES == 0 {
+                    // the batch is full: the next one grows its own ball
+                    queue.clear();
+                } else {
+                    queue.extend(self.neighbours(u));
                 }
             }
         }
-        row[hi] = UNREACHABLE; // the diagonal carries no entry
+        order
     }
-    (heads, next_hop)
+
+    /// Per head, `|component| − 1`: the destinations its table holds an
+    /// entry for.
+    fn reach(&self) -> Vec<u32> {
+        let mut component = vec![u32::MAX; self.len()];
+        let mut sizes: Vec<u32> = Vec::new();
+        let mut stack = Vec::new();
+        for seed in 0..self.len() as u32 {
+            let id = sizes.len() as u32;
+            let mut size = 0;
+            stack.push(seed);
+            while let Some(u) = stack.pop() {
+                match component.get_mut(u as usize) {
+                    Some(c) if *c == u32::MAX => *c = id,
+                    _ => continue,
+                }
+                size += 1;
+                stack.extend(self.neighbours(u));
+            }
+            if size > 0 {
+                sizes.push(size);
+            }
+        }
+        component.iter().map(|&c| sizes.get(c as usize).map_or(0, |&s| s - 1)).collect()
+    }
+}
+
+/// One destination's first hops inside its batch block.
+struct Column<'a> {
+    block: &'a [u32],
+    /// Destinations in the batch.
+    width: usize,
+    lane: usize,
+}
+
+impl Column<'_> {
+    /// The head index of the next dominator from head `s`.
+    fn hop(&self, s: usize) -> Option<u32> {
+        self.block.get(s * self.width + self.lane).copied()
+    }
+}
+
+/// Per-head lane masks of one [`FirstHops::fill`] sweep.
+#[derive(Clone, Copy, Default)]
+struct Lanes {
+    /// Destinations that have reached this head.
+    seen: u64,
+    /// Destinations that reached this head at the previous level: the
+    /// frontier being expanded.
+    frontier: u64,
+    /// Destinations reaching this head at the level being expanded.
+    fresh: u64,
+}
+
+impl FirstHops {
+    /// Indexes the dominator graph of `dom_links`: returns the sorted
+    /// head list and the unfilled tables over it.
+    fn index(dom_links: &BTreeMap<NodeId, BTreeMap<NodeId, Vec<NodeId>>>) -> (Vec<NodeId>, Self) {
+        let heads: Vec<NodeId> = dom_links.keys().copied().collect();
+        assert!(heads.len() < UNREACHABLE as usize, "head count overflows the hop tables");
+        let graph = DomGraph::new(&heads, dom_links);
+        let order = graph.balls();
+        let mut rank = vec![0; heads.len()];
+        for (pos, &h) in order.iter().enumerate() {
+            if let Some(r) = rank.get_mut(h as usize) {
+                *r = pos as u32;
+            }
+        }
+        let hops = Self {
+            reach: graph.reach(),
+            blocks: (0..heads.len().div_ceil(LANES)).map(|_| OnceLock::new()).collect(),
+            graph,
+            order,
+            rank,
+        };
+        (heads, hops)
+    }
+
+    /// The first-hop column toward head `dest`; fills `dest`'s batch
+    /// on first use.
+    fn column(&self, dest: usize) -> Option<Column<'_>> {
+        let rank = *self.rank.get(dest)? as usize;
+        let (batch, lane) = (rank / LANES, rank % LANES);
+        let block = self.blocks.get(batch)?.get_or_init(|| self.fill(batch));
+        Some(Column { block, width: block.len() / self.graph.len(), lane })
+    }
+
+    /// One multi-source BFS from the destinations of `batch`, one lane
+    /// bit each, over the dominator graph; returns the batch's block.
+    /// Each level first pushes the frontier's lanes to unseen
+    /// neighbours, then gives every newly reached (head, lane) the
+    /// lowest-index neighbour on that lane's previous frontier.
+    fn fill(&self, batch: usize) -> Box<[u32]> {
+        let k = self.graph.len();
+        let dests = self.order.chunks(LANES).nth(batch).unwrap_or_default();
+        let mut hops = vec![UNREACHABLE; dests.len() * k];
+        let mut lanes = vec![Lanes::default(); k];
+        let mut current: Vec<u32> = Vec::new();
+        let mut reached: Vec<u32> = Vec::new();
+        for (lane, &d) in dests.iter().enumerate() {
+            if let Some(l) = lanes.get_mut(d as usize) {
+                l.seen = 1 << lane;
+                l.frontier = 1 << lane;
+                current.push(d);
+            }
+        }
+        while !current.is_empty() {
+            for &u in &current {
+                let spread = lanes.get(u as usize).map_or(0, |l| l.frontier);
+                for &v in self.graph.neighbours(u) {
+                    let Some(l) = lanes.get_mut(v as usize) else { continue };
+                    let new = spread & !l.seen;
+                    if new != 0 {
+                        if l.fresh == 0 {
+                            reached.push(v);
+                        }
+                        l.fresh |= new;
+                    }
+                }
+            }
+            for &v in &reached {
+                let fresh = lanes.get(v as usize).map_or(0, |l| l.fresh);
+                let mut pending = fresh;
+                for &u in self.graph.neighbours(v) {
+                    let mut hit = pending & lanes.get(u as usize).map_or(0, |l| l.frontier);
+                    pending &= !hit;
+                    while hit != 0 {
+                        let lane = hit.trailing_zeros() as usize;
+                        hit &= hit - 1;
+                        if let Some(h) = hops.get_mut(v as usize * dests.len() + lane) {
+                            *h = u;
+                        }
+                    }
+                    if pending == 0 {
+                        break;
+                    }
+                }
+                if let Some(l) = lanes.get_mut(v as usize) {
+                    l.seen |= fresh;
+                }
+            }
+            for &u in &current {
+                if let Some(l) = lanes.get_mut(u as usize) {
+                    l.frontier = 0;
+                }
+            }
+            for &v in &reached {
+                if let Some(l) = lanes.get_mut(v as usize) {
+                    l.frontier = l.fresh;
+                    l.fresh = 0;
+                }
+            }
+            std::mem::swap(&mut current, &mut reached);
+            reached.clear();
+        }
+        hops.into_boxed_slice()
+    }
 }
 
 #[cfg(test)]
@@ -430,6 +653,211 @@ mod tests {
     fn router_for(g: &Graph) -> BackboneRouter {
         let result = AlgorithmTwo::new().construct(g);
         BackboneRouter::build(g, &result.wcds)
+    }
+
+    /// Reference dominator-level tables: one FIFO BFS per source head
+    /// over the links, recording the first dominator hop toward every
+    /// destination. Returns the sorted head list and the flat row-major
+    /// first-hop matrix (`UNREACHABLE` off the backbone and on the
+    /// diagonal) — the eager table the lazy column blocks must equal.
+    fn dominator_tables(
+        dom_links: &BTreeMap<NodeId, BTreeMap<NodeId, Vec<NodeId>>>,
+    ) -> (Vec<NodeId>, Vec<u32>) {
+        let heads: Vec<NodeId> = dom_links.keys().copied().collect();
+        let k = heads.len();
+        let adj: Vec<Vec<u32>> = heads
+            .iter()
+            .map(|h| dom_links[h].keys().map(|nb| heads.binary_search(nb).unwrap() as u32).collect())
+            .collect();
+        let mut next_hop = vec![UNREACHABLE; k * k];
+        let mut queue = VecDeque::new();
+        for hi in 0..k {
+            let row = &mut next_hop[hi * k..(hi + 1) * k];
+            queue.clear();
+            queue.push_back(hi as u32);
+            row[hi] = hi as u32; // sentinel: the source is its own hop
+            while let Some(cur) = queue.pop_front() {
+                for &nb in &adj[cur as usize] {
+                    if row[nb as usize] == UNREACHABLE {
+                        row[nb as usize] = if cur as usize == hi { nb } else { row[cur as usize] };
+                        queue.push_back(nb);
+                    }
+                }
+            }
+            row[hi] = UNREACHABLE; // the diagonal carries no entry
+        }
+        (heads, next_hop)
+    }
+
+    /// The pre-lazy `route`: the dominator chain walked through the
+    /// reference matrix.
+    fn reference_route(
+        router: &BackboneRouter,
+        next_hop: &[u32],
+        s: NodeId,
+        t: NodeId,
+    ) -> Option<Vec<NodeId>> {
+        if s == t {
+            return Some(vec![s]);
+        }
+        if router.graph_edges.has_edge(s, t) {
+            return Some(vec![s, t]);
+        }
+        let (hs, ht) = (router.clusterhead(s), router.clusterhead(t));
+        let mut path = vec![s];
+        if hs != s {
+            path.push(hs);
+        }
+        let ti = router.heads.binary_search(&ht).ok()?;
+        let k = router.heads.len();
+        let mut cur = hs;
+        while cur != ht {
+            let ci = router.heads.binary_search(&cur).ok()?;
+            let hop = next_hop[ci * k + ti];
+            if hop == UNREACHABLE {
+                return None;
+            }
+            let next = router.heads[hop as usize];
+            path.extend_from_slice(&router.dom_links[&cur][&next]);
+            path.push(next);
+            cur = next;
+        }
+        if ht != t {
+            path.push(t);
+        }
+        path.dedup();
+        if let Some(pos) = path.iter().position(|&x| x == t) {
+            path.truncate(pos + 1);
+        }
+        Some(path)
+    }
+
+    /// Demands every first hop, every table size, the total state and
+    /// the routes of `router` equal the reference tables'. Returns the
+    /// number of unreachable off-diagonal (source, destination) pairs.
+    fn assert_matches_reference(router: &BackboneRouter) -> usize {
+        let (heads, next_hop) = dominator_tables(&router.dom_links);
+        assert_eq!(heads, router.heads);
+        let k = heads.len();
+        for d in 0..k {
+            let column = router.hops.column(d).expect("every head has a column");
+            for s in 0..k {
+                assert_eq!(column.hop(s), Some(next_hop[s * k + d]), "first hop {s} → {d} of {k} heads");
+            }
+            assert_eq!(column.hop(k), None);
+        }
+        let mut entries = 0;
+        for (s, &h) in heads.iter().enumerate() {
+            let row = next_hop[s * k..(s + 1) * k].iter().filter(|&&x| x != UNREACHABLE).count();
+            assert_eq!(router.table_size(h), Some(row), "table size of head {h}");
+            entries += row;
+        }
+        let links: usize =
+            router.dom_links.values().flat_map(|l| l.values()).map(|g| g.len() + 1).sum();
+        assert_eq!(router.total_state(), entries + links);
+        // every route on small graphs, a strided sample on large ones
+        let n = router.clusterhead.len();
+        let stride = n / 160 + 1;
+        for s in (0..n).step_by(stride) {
+            for t in (0..n).step_by(stride) {
+                assert_eq!(router.route(s, t), reference_route(router, &next_hop, s, t), "{s} → {t}");
+            }
+        }
+        k * k.saturating_sub(1) - entries
+    }
+
+    /// A graph whose MIS is exactly the `skeleton`'s nodes (ids
+    /// `0..h`): every head keeps a private leaf, and each skeleton edge
+    /// becomes a gateway path — one connector (a 2-hop link) on even
+    /// edges, two on odd ones, the second an additional dominator so
+    /// the 3-hop link runs over the spanner. The dominator graph is the
+    /// skeleton.
+    fn head_graph(skeleton: &Graph) -> (Graph, Wcds) {
+        let h = skeleton.node_count();
+        let mut edges: Vec<(NodeId, NodeId)> = (0..h).map(|u| (u, h + u)).collect();
+        let mut additional = Vec::new();
+        let mut next = 2 * h;
+        for (i, e) in skeleton.edges().into_iter().enumerate() {
+            let (a, b) = e.endpoints();
+            if i % 2 == 0 {
+                edges.extend([(a, next), (next, b)]);
+                next += 1;
+            } else {
+                edges.extend([(a, next), (next, next + 1), (next + 1, b)]);
+                additional.push(next + 1);
+                next += 2;
+            }
+        }
+        (Graph::from_edges(next, edges), Wcds::new((0..h).collect(), additional))
+    }
+
+    #[test]
+    fn lazy_tables_equal_the_reference_on_batch_edges() {
+        for h in [1, 63, 64, 65, 129] {
+            let (g, wcds) = head_graph(&generators::connected_gnp(h, (3.0 / h as f64).min(1.0), h as u64));
+            let router = BackboneRouter::build(&g, &wcds);
+            assert_eq!(router.heads.len(), h);
+            assert_eq!(router.hops.blocks.len(), h.div_ceil(LANES));
+            assert_eq!(assert_matches_reference(&router), 0, "{h} heads: connected backbone");
+        }
+    }
+
+    #[test]
+    fn lazy_tables_equal_the_reference_on_udg_backbones() {
+        for seed in 0..3 {
+            let udg = UnitDiskGraph::build(deploy::uniform(400, 11.0, 11.0, seed), 1.0);
+            let router = router_for(udg.graph());
+            assert!(router.heads.len() > LANES, "seed {seed}: one batch only");
+            assert_matches_reference(&router);
+        }
+    }
+
+    #[test]
+    fn lazy_tables_equal_the_reference_on_a_disconnected_backbone() {
+        let (g, wcds) = head_graph(&generators::gnp(90, 0.025, 4));
+        let router = BackboneRouter::build(&g, &wcds);
+        let unreachable = assert_matches_reference(&router);
+        assert!(unreachable > 0, "the dominator graph is connected");
+        assert!(router.heads.iter().any(|&h| router.table_size(h) == Some(0)), "no isolated head");
+        let k = router.heads.len();
+        let cut = (0..k)
+            .flat_map(|s| (0..k).map(move |d| (s, d)))
+            .find(|&(s, d)| s != d && router.hops.column(d).unwrap().hop(s) == Some(UNREACHABLE))
+            .unwrap();
+        assert_eq!(router.route(router.heads[cut.0], router.heads[cut.1]), None);
+    }
+
+    #[test]
+    fn racing_first_routes_fill_each_batch_once_and_agree() {
+        let (g, wcds) = head_graph(&generators::connected_gnp(70, 0.04, 8));
+        let n = g.node_count();
+        let route_all = |router: &BackboneRouter| -> Vec<Option<Vec<NodeId>>> {
+            (0..n).flat_map(|s| (0..n).map(move |t| (s, t))).map(|(s, t)| router.route(s, t)).collect()
+        };
+        let serial = BackboneRouter::build(&g, &wcds);
+        let expected = route_all(&serial);
+        let cold = std::sync::Arc::new(BackboneRouter::build(&g, &wcds));
+        assert!(cold.hops.blocks.len() > 1 && cold.hops.blocks.iter().all(|b| b.get().is_none()));
+        let start = std::sync::Barrier::new(2);
+        let runs: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (router, start) = (std::sync::Arc::clone(&cold), &start);
+                    // same order on both threads: they meet every cold
+                    // batch at about the same time
+                    scope.spawn(move || {
+                        start.wait();
+                        route_all(&router)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for run in &runs {
+            assert!(*run == expected, "a racing run diverged from the single-threaded one");
+        }
+        assert!(cold.hops.blocks.iter().all(|b| b.get().is_some()));
+        assert_eq!(*cold, serial);
     }
 
     #[test]
@@ -560,6 +988,9 @@ mod tests {
                 router = router.patched(udg.graph(), &result.wcds, &delta.added, &delta.removed);
                 // release-mode identity, not just the debug_assert inside
                 assert_eq!(router, BackboneRouter::build(udg.graph(), &result.wcds));
+                if patches % 4 == 0 {
+                    assert_matches_reference(&router);
+                }
                 patches += 1;
             } else {
                 result = fresh;

@@ -234,8 +234,8 @@ fn build_artifacts(g: &Graph, source: &ArtifactSource, epoch: u64) -> Arc<Bundle
             (b.merged_wcds(), Some(summary))
         }
     };
-    let spanner = wcds.weakly_induced_subgraph(g);
     let router = BackboneRouter::build(g, &wcds);
+    let spanner = router.spanner().clone();
     let broadcastable = traversal::is_connected(g) && wcds.is_valid(g);
     Arc::new(Bundle {
         epoch,
