@@ -53,9 +53,9 @@ pub const LINT_NAMES: [&str; 6] = [
 /// The dynamic-graph and region-repair modules are strict because the
 /// service mutation path runs them on every request: a panic there
 /// kills a store worker while it holds the topology write lock. The
-/// grid-partition module is strict for the same reason: the service's
-/// mobile-ingest path runs it on every `create`, and its worker
-/// closures execute on spawned threads where a panic poisons the join.
+/// threaded-construction module (`partition.rs`) is strict for the same
+/// reason: the service's mobile-ingest path runs its bridge sweep on
+/// every `create`, on spawned threads where a panic poisons the join.
 pub const STRICT_FILES: [(&str, bool); 10] = [
     ("crates/wcds-service/src/protocol.rs", false),
     ("crates/wcds-service/src/server.rs", false),

@@ -8,12 +8,13 @@
 //!   these sizes is the denominator for the city-scale speedup check.
 //! * **City scale** (n = 20k on `--quick`, 100k and 1M at full scale):
 //!   the `O(n²)` baselines are infeasible, so the sweep measures the
-//!   grid-partitioned parallel pipeline — dense-grid UDG build and
-//!   [`PartitionedTwo`] across 1/2/4/8 workers (every thread count must
-//!   produce byte-identical output), the sequential [`AlgorithmTwo`]
-//!   oracle at n = 100k (`engines_agree`), and the certified sampled
-//!   dilation estimator on the resulting spanner. The 100k construction
-//!   must beat the quadratic extrapolation of the measured naive time
+//!   parallel pipeline — dense-grid UDG build and [`PartitionedTwo`]
+//!   (greedy MIS plus the per-anchor bridge sweep) across 1/2/4/8
+//!   workers (every thread count must produce byte-identical output),
+//!   the sequential [`AlgorithmTwo`] oracle at n = 100k
+//!   (`engines_agree`), and the certified sampled dilation estimator on
+//!   the resulting spanner. The 100k construction must beat the
+//!   quadratic extrapolation of the measured naive time
 //!   (`naive_ms(2000) · (n/2000)²`) by ≥ 10×.
 //!
 //! Every row records the process peak RSS (`VmHWM`) at the time it was
@@ -120,7 +121,7 @@ fn main() {
     println!("wrote BENCH_construction.json");
 }
 
-/// City-scale sweep at one size: parallel build + partitioned
+/// City-scale sweep at one size: parallel build + threaded
 /// Algorithm II across the thread sweep, sequential oracle and sampled
 /// dilation where feasible.
 fn city_scale(
@@ -156,7 +157,7 @@ fn city_scale(
     let udg = reference.expect("non-empty thread sweep");
     let m = udg.graph().edge_count();
 
-    // grid-partitioned Algorithm II across the same sweep
+    // Algorithm II with the threaded bridge sweep, across the same sweep
     let mut parts: Option<(Vec<NodeId>, Vec<NodeId>)> = None;
     let mut best_construct_ms = f64::INFINITY;
     for &t in sweep {

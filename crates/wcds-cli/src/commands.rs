@@ -5,6 +5,7 @@ use std::fmt::Write as _;
 use wcds_baselines::{GreedyCds, GreedyWcds, MisTreeCds, WuLiCds};
 use wcds_core::algo1::AlgorithmOne;
 use wcds_core::algo2::AlgorithmTwo;
+use wcds_core::partition::PartitionedTwo;
 use wcds_core::postprocess::{prune, PruneOrder};
 use wcds_core::spanner::SpannerStats;
 use wcds_core::{algo1, algo2, WcdsConstruction};
@@ -114,26 +115,13 @@ fn require_connected(doc: &GraphDocument) -> Result<(), CliError> {
 
 fn construct(doc: &GraphDocument, algo: Algo, do_prune: bool) -> Result<String, CliError> {
     require_connected(doc)?;
-    // Positioned Algorithm II inputs take the grid-partitioned parallel
-    // path (bit-identical output, city-scale speed); everything else —
-    // adjacency-only documents, positions inconsistent with the edge
-    // list, other algorithms — goes through the sequential engines.
-    let (name, result) = match (&doc.points, algo) {
-        (Some(points), Algo::Algo2) => {
-            let udg = UnitDiskGraph::build(points.clone(), 1.0);
-            if udg.graph() == &doc.graph {
-                let engine = wcds_core::partition::PartitionedTwo::new();
-                (engine.name(), engine.construct(&udg))
-            } else {
-                let construction = build_algo(algo);
-                (construction.name(), construction.construct(&doc.graph))
-            }
-        }
-        _ => {
-            let construction = build_algo(algo);
-            (construction.name(), construction.construct(&doc.graph))
-        }
+    // Algorithm II takes the threaded bridge sweep (bit-identical
+    // output, city-scale speed)
+    let construction: Box<dyn WcdsConstruction> = match algo {
+        Algo::Algo2 => Box::new(PartitionedTwo::new()),
+        _ => build_algo(algo),
     };
+    let result = construction.construct(&doc.graph);
     let wcds = if do_prune {
         prune(&doc.graph, &result.wcds, PruneOrder::BridgesFirst)
     } else {
@@ -141,7 +129,12 @@ fn construct(doc: &GraphDocument, algo: Algo, do_prune: bool) -> Result<String, 
     };
     let stats = SpannerStats::compute(&doc.graph, &wcds);
     let mut out = String::new();
-    let _ = writeln!(out, "algorithm : {}{}", name, if do_prune { " + prune" } else { "" });
+    let _ = writeln!(
+        out,
+        "algorithm : {}{}",
+        construction.name(),
+        if do_prune { " + prune" } else { "" }
+    );
     let _ = writeln!(out, "result    : {wcds}");
     let _ = writeln!(out, "valid     : {}", wcds.is_valid(&doc.graph));
     let _ = writeln!(out, "{stats}");

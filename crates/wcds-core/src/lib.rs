@@ -26,9 +26,9 @@
 //!   (Lemmas 1–3, Theorem 4);
 //! * [`maintenance`] — WCDS maintenance under mobility (the paper's
 //!   §4.2 extension), with 3-hop repair locality;
-//! * [`partition`] — grid-partitioned parallel Algorithm II for
-//!   city-scale inputs (n = 100k–1M), byte-identical to the sequential
-//!   construction;
+//! * [`partition`] — Algorithm II with its bridge sweep threaded per
+//!   MIS anchor, for city-scale inputs (n = 100k–1M), byte-identical
+//!   to the sequential construction;
 //! * [`resilient`] — (k, m)-resilient backbones: layered residual
 //!   re-runs of the MIS/bridge machinery give m-fold coverage, and
 //!   connector augmentation raises the induced core to k-connectivity

@@ -152,14 +152,14 @@ struct Baseline {
 impl MaintainedWcds {
     /// Builds the initial WCDS (Algorithm II's construction) over a
     /// deployment, using [`wcds_graph::parallel::threads()`] workers for
-    /// the from-scratch pass.
+    /// the from-scratch bridge sweep.
     pub fn new(points: Vec<Point>, radius: f64) -> Self {
         Self::with_threads(points, radius, wcds_graph::parallel::threads())
     }
 
     /// [`MaintainedWcds::new`] with an explicit worker count for the
     /// initial construction. The from-scratch pass runs the same
-    /// grid-partitioned MIS and per-anchor bridge selection as
+    /// greedy MIS and threaded per-anchor bridge sweep as
     /// [`crate::partition::PartitionedTwo`], so a 100k-node deployment
     /// comes up in seconds instead of minutes; subsequent repairs are
     /// incremental and fan their refresh sweeps out over the same
@@ -167,8 +167,7 @@ impl MaintainedWcds {
     /// resulting state is identical for every `nthreads`.
     pub fn with_threads(points: Vec<Point>, radius: f64, nthreads: usize) -> Self {
         let udg = DynamicUdg::new(points, radius);
-        let mis_vec =
-            crate::partition::mis_over_points(udg.graph(), udg.points(), nthreads.max(1));
+        let mis_vec = crate::mis::greedy_mis(udg.graph(), crate::mis::RankingMode::StaticId);
         let per_anchor =
             crate::partition::bridge_contributions(udg.graph(), &mis_vec, nthreads.max(1));
         let mis: BTreeSet<NodeId> = mis_vec.into_iter().collect();
@@ -295,7 +294,7 @@ impl MaintainedWcds {
             // per-anchor diff/merge below degenerates to a global pass
             // that still pays set-diff bookkeeping per key. Rebuild the
             // contribution state wholesale with the constructor's
-            // partitioned sweep instead — per-anchor sets are a pure
+            // threaded sweep instead — per-anchor sets are a pure
             // function of (graph, MIS, anchor), so anchors outside the
             // ball recompute to their old values and the result is
             // identical to the incremental path (debug-asserted below).

@@ -1,74 +1,54 @@
-//! Grid-partitioned parallel Algorithm II for city-scale inputs.
+//! Algorithm II with a threaded bridge sweep, for city-scale inputs.
 //!
-//! From-scratch construction at n = 100k–1M cannot afford either the
-//! quadratic bridge search or a single-threaded sweep. Both phases of
-//! Algorithm II are decided by local neighborhoods (the locality ≤ 3
-//! the maintenance engine asserts), so the plane is cut into grid
-//! **super-cells** and each phase runs per cell on the dependency-free
-//! thread engine in [`wcds_graph::parallel`]:
+//! From-scratch construction at n = 100k–1M cannot afford the quadratic
+//! bridge search. Of Algorithm II's two phases, only the bridge phase
+//! pays for a second core (EXPERIMENTS.md T9i):
 //!
-//! * **MIS phase** — the lex-first greedy MIS is the unique fixpoint of
-//!   "`u` is black iff no neighbor `v < u` is black" (the
-//!   [`crate::maintenance::region`] module documents the proof), so any
-//!   evaluation order converges to the same set. Cells decide their
-//!   owned nodes in ascending-id order each round, reading only (a) the
-//!   globally-published state from the end of the previous round and
-//!   (b) their own decisions from the current round. A serial stitch
-//!   between rounds publishes every cell's decisions. The minimum
-//!   undecided node always has fully-decided lower neighbors, so every
-//!   round makes progress and the loop terminates with exactly the
-//!   sequential greedy MIS.
+//! * **MIS phase** — the lowest-ID-among-white-neighbours rule, whose
+//!   centralized form is one ascending greedy scan
+//!   ([`greedy_mis`] under [`RankingMode::StaticId`]).
 //! * **Bridge phase** — Algorithm II's 3-hop rule decomposes over MIS
 //!   anchors (each pair `(u, w)` is charged to its smaller endpoint),
-//!   so anchors are swept in parallel with a per-worker [`BallScratch`]
-//!   and the per-anchor contributions are unioned serially in anchor
-//!   order.
+//!   so anchors are swept in parallel on the dependency-free thread
+//!   engine in [`wcds_graph::parallel`], each worker with its own
+//!   [`BallScratch`], and the per-anchor contributions are unioned
+//!   serially in anchor order.
 //!
-//! Both phases are **thread-count invariant by construction**: the cell
-//! layout depends only on the point set (never on the worker count),
-//! workers own disjoint output slots, and every reduction is serial in
-//! a fixed order. On top of that, at n ≤ [`ORACLE_MAX_NODES`] the result
-//! is asserted — in release builds too — byte-identical to the
-//! sequential [`AlgorithmTwo`].
+//! The sweep is **thread-count invariant by construction**: workers own
+//! disjoint output slots and the reduction is serial in a fixed order.
+//! On top of that, at n ≤ [`ORACLE_MAX_NODES`] it is asserted — in
+//! release builds too — equal to the sequential
+//! [`select_additional_dominators`].
 
-use crate::algo2::AlgorithmTwo;
+use crate::algo2::select_additional_dominators;
 use crate::maintenance::region::{contributions_for_pred, BallScratch};
-use crate::{ConstructionResult, Wcds};
+use crate::mis::{greedy_mis, RankingMode};
+use crate::{ConstructionResult, Wcds, WcdsConstruction};
 use std::collections::BTreeSet;
-use wcds_geom::Point;
 use wcds_graph::{parallel, Graph, NodeId, UnitDiskGraph};
 
-/// Largest input on which the partitioned construction cross-checks
-/// itself against the sequential [`AlgorithmTwo`] (always, including
-/// release builds). Beyond this the check would dominate the run it is
+/// Largest input on which the construction cross-checks its threaded
+/// bridge sweep against the sequential one (always, including release
+/// builds). Beyond this the check would dominate the run it is
 /// guarding.
 pub const ORACLE_MAX_NODES: usize = 5000;
 
-/// Target owned-node count per grid super-cell. Small enough that a
-/// round's per-cell work parallelizes well past 8 workers at n = 100k,
-/// large enough that cross-cell ascending chains (which cost one round
-/// per cell hop) stay shallow.
-const TARGET_NODES_PER_CELL: usize = 1024;
-
-/// Node decision states of the MIS round protocol.
-const UNDECIDED: u8 = 0;
-const BLACK: u8 = 1;
-const GRAY: u8 = 2;
-
-/// Grid-partitioned parallel Algorithm II over a positioned topology.
+/// Algorithm II with the bridge phase swept over worker threads.
 ///
-/// Produces bit-for-bit the [`AlgorithmTwo`] output (same MIS, same
-/// additional dominators, same spanner) for any thread count.
+/// Produces bit-for-bit the [`AlgorithmTwo`](crate::algo2::AlgorithmTwo)
+/// output (same MIS, same additional dominators, same spanner) for any
+/// thread count.
 ///
 /// # Examples
 ///
 /// ```
 /// use wcds_core::partition::PartitionedTwo;
+/// use wcds_core::WcdsConstruction;
 /// use wcds_geom::deploy;
 /// use wcds_graph::UnitDiskGraph;
 ///
 /// let udg = UnitDiskGraph::build(deploy::uniform(400, 10.0, 10.0, 7), 1.0);
-/// let result = PartitionedTwo::new().construct(&udg);
+/// let result = PartitionedTwo::new().construct(udg.graph());
 /// assert!(result.wcds.is_valid(udg.graph()));
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -77,59 +57,53 @@ pub struct PartitionedTwo {
 }
 
 impl PartitionedTwo {
-    /// Partitioned construction using [`parallel::threads`] workers.
+    /// The construction using [`parallel::threads`] workers.
     pub fn new() -> Self {
         Self { nthreads: None }
     }
 
-    /// Partitioned construction pinned to `nthreads` workers (`0` is
-    /// clamped to 1). Output does not depend on the choice.
+    /// The construction pinned to `nthreads` workers (`0` is clamped to
+    /// 1). Output does not depend on the choice.
     pub fn with_threads(nthreads: usize) -> Self {
         Self { nthreads: Some(nthreads.max(1)) }
     }
 
-    fn threads(&self) -> usize {
-        self.nthreads.unwrap_or_else(parallel::threads)
+    /// Returns `(mis, additional)` like
+    /// [`AlgorithmTwo::construct_parts`](crate::algo2::AlgorithmTwo::construct_parts).
+    pub fn construct_parts(&self, udg: &UnitDiskGraph) -> (Vec<NodeId>, Vec<NodeId>) {
+        self.parts(udg.graph())
     }
 
-    /// Returns `(mis, additional)` like [`AlgorithmTwo::construct_parts`].
-    pub fn construct_parts(&self, udg: &UnitDiskGraph) -> (Vec<NodeId>, Vec<NodeId>) {
-        let g = udg.graph();
-        let nthreads = self.threads();
-        let mis = mis_over_points(g, udg.points(), nthreads);
-        let additional = partitioned_bridges(g, &mis, nthreads);
+    fn parts(&self, g: &Graph) -> (Vec<NodeId>, Vec<NodeId>) {
+        let nthreads = self.nthreads.unwrap_or_else(parallel::threads);
+        let mis = greedy_mis(g, RankingMode::StaticId);
+        let mut additional = BTreeSet::new();
+        for (_, contribution) in bridge_contributions(g, &mis, nthreads) {
+            additional.extend(contribution);
+        }
+        let additional: Vec<NodeId> = additional.into_iter().collect();
         if g.node_count() <= ORACLE_MAX_NODES {
-            let (oracle_mis, oracle_add) = AlgorithmTwo::new().construct_parts(g);
-            assert_eq!(mis, oracle_mis, "partitioned MIS diverged from the sequential oracle");
             assert_eq!(
-                additional, oracle_add,
-                "partitioned bridge selection diverged from the sequential oracle"
+                additional,
+                select_additional_dominators(g, &mis),
+                "threaded bridge sweep diverged from the sequential one"
             );
         }
         (mis, additional)
     }
+}
 
-    /// Full construction: WCDS plus the weakly induced spanner.
-    pub fn construct(&self, udg: &UnitDiskGraph) -> ConstructionResult {
-        let (mis, additional) = self.construct_parts(udg);
+impl WcdsConstruction for PartitionedTwo {
+    fn construct(&self, g: &Graph) -> ConstructionResult {
+        let (mis, additional) = self.parts(g);
         let wcds = Wcds::new(mis, additional);
-        let spanner = wcds.weakly_induced_subgraph(udg.graph());
+        let spanner = wcds.weakly_induced_subgraph(g);
         ConstructionResult { wcds, spanner }
     }
 
-    /// Display name, parallel to [`crate::WcdsConstruction::name`].
-    pub fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         "algorithm-2-partitioned"
     }
-}
-
-/// The partitioned lex-first MIS over a positioned topology: the cell
-/// layout from the point set, then the round protocol. Equals
-/// `greedy_mis(g, RankingMode::StaticId)` for any thread count; shared
-/// with [`crate::maintenance::MaintainedWcds`]'s initial construction.
-pub(crate) fn mis_over_points(g: &Graph, points: &[Point], nthreads: usize) -> Vec<NodeId> {
-    let cells = grid_cells(points);
-    partitioned_mis(g, &cells, nthreads)
 }
 
 /// Per-anchor bridge contributions, in ascending anchor order: the
@@ -144,180 +118,28 @@ pub(crate) fn bridge_contributions(
     nthreads: usize,
 ) -> Vec<(NodeId, BTreeSet<NodeId>)> {
     let in_mis = g.membership(mis);
-    let in_mis_ref = &in_mis;
+    let is_mis = |w: NodeId| in_mis.get(w).copied().unwrap_or(false);
     parallel::map_indices(
         nthreads,
         mis.len(),
         || BallScratch::new(g.node_count()),
         |scratch, i| {
-            // analyze: allow(slice-index, "i < mis.len() from map_indices; w < n, membership is n long")
-            (mis[i], contributions_for_pred(scratch, g, |w| in_mis_ref[w], mis[i]))
+            // i < mis.len() from map_indices, so the default never appears
+            mis.get(i)
+                .map(|&u| (u, contributions_for_pred(scratch, g, is_mis, u)))
+                .unwrap_or_default()
         },
     )
-}
-
-/// Assigns every node to a grid super-cell and returns the owned-node
-/// lists, each ascending. The layout is a pure function of the point
-/// set: the bounding box is split into `gx × gy` equal cells sized for
-/// [`TARGET_NODES_PER_CELL`] nodes each. Degenerate extents (all points
-/// collinear or coincident) collapse to a single row or column.
-fn grid_cells(points: &[Point]) -> Vec<Vec<NodeId>> {
-    let n = points.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let (mut min_x, mut min_y, mut max_x, mut max_y) = (f64::MAX, f64::MAX, f64::MIN, f64::MIN);
-    for p in points {
-        min_x = min_x.min(p.x);
-        min_y = min_y.min(p.y);
-        max_x = max_x.max(p.x);
-        max_y = max_y.max(p.y);
-    }
-    let want = n.div_ceil(TARGET_NODES_PER_CELL);
-    let side = (want as f64).sqrt().ceil() as usize;
-    let span_x = max_x - min_x;
-    let span_y = max_y - min_y;
-    let gx = if span_x > 0.0 { side.max(1) } else { 1 };
-    let gy = if span_y > 0.0 { side.max(1) } else { 1 };
-    let mut cells = vec![Vec::new(); gx * gy];
-    for (u, p) in points.iter().enumerate() {
-        let ix = if span_x > 0.0 {
-            (((p.x - min_x) / span_x * gx as f64) as usize).min(gx - 1)
-        } else {
-            0
-        };
-        let iy = if span_y > 0.0 {
-            (((p.y - min_y) / span_y * gy as f64) as usize).min(gy - 1)
-        } else {
-            0
-        };
-        // analyze: allow(slice-index, "ix < gx and iy < gy by the min() clamps, so iy*gx+ix < gy*gx = cells.len()")
-        cells[iy * gx + ix].push(u);
-    }
-    cells.retain(|c| !c.is_empty());
-    cells
-}
-
-/// One cell's output for one round: the decisions to publish
-/// (`(node, BLACK | GRAY)`) and the still-undecided remainder of its
-/// worklist.
-type CellRound = (Vec<(NodeId, u8)>, Vec<NodeId>);
-
-/// The round protocol from the module docs: per-cell ascending scans
-/// against the previous round's published state, serially stitched,
-/// until every node is decided. Returns the lex-first greedy MIS.
-fn partitioned_mis(g: &Graph, cells: &[Vec<NodeId>], nthreads: usize) -> Vec<NodeId> {
-    let n = g.node_count();
-    let mut state = vec![UNDECIDED; n];
-    // worklists: the still-undecided owned nodes of each active cell
-    let mut pending: Vec<Vec<NodeId>> = cells.to_vec();
-    while !pending.is_empty() {
-        let state_ref = &state;
-        let pending_ref = &pending;
-        // each slot i is owned by exactly one worker; decisions this
-        // round read only state_ref (previous rounds) and the cell's
-        // own overlay, so the outcome is independent of the thread count
-        let rounds: Vec<CellRound> =
-            parallel::map_indices(nthreads, pending.len(), Vec::new, |overlay, i| {
-                // analyze: allow(slice-index, "i < pending.len() from map_indices")
-                scan_cell(g, state_ref, &pending_ref[i], overlay)
-            });
-        // serial stitch: publish decisions (disjoint by ownership),
-        // keep the shrunken worklists
-        let mut progressed = false;
-        let mut next_pending = Vec::with_capacity(rounds.len());
-        for (updates, remaining) in rounds {
-            progressed |= !updates.is_empty();
-            for (u, decision) in updates {
-                // analyze: allow(slice-index, "u is an owned node id < n = state.len()")
-                state[u] = decision;
-            }
-            if !remaining.is_empty() {
-                next_pending.push(remaining);
-            }
-        }
-        assert!(
-            progressed || next_pending.is_empty(),
-            "MIS round stalled: the minimum undecided node is always decidable"
-        );
-        pending = next_pending;
-    }
-    // analyze: allow(slice-index, "u ranges over g.nodes(), state is n long")
-    g.nodes().filter(|&u| state[u] == BLACK).collect()
-}
-
-/// One cell's round: decide what the previous round's knowledge allows,
-/// in ascending-id order. `overlay` carries this cell's same-round
-/// decisions (reused across rounds as worker scratch; `(node, state)`
-/// pairs ascending, so lookups binary-search it).
-fn scan_cell(
-    g: &Graph,
-    state: &[u8],
-    pending: &[NodeId],
-    overlay: &mut Vec<(NodeId, u8)>,
-) -> (Vec<(NodeId, u8)>, Vec<NodeId>) {
-    overlay.clear();
-    let mut updates = Vec::new();
-    let mut remaining = Vec::new();
-    for &u in pending {
-        let mut any_black = false;
-        let mut any_undecided = false;
-        // sorted adjacency: lower neighbors are the row prefix
-        for v in g.adj(u) {
-            if v >= u {
-                break;
-            }
-            let s = match overlay.binary_search_by_key(&v, |&(w, _)| w) {
-                // analyze: allow(slice-index, "slot is a binary_search hit")
-                Ok(slot) => overlay[slot].1,
-                // analyze: allow(slice-index, "v < u < n = state.len()")
-                Err(_) => state[v],
-            };
-            match s {
-                BLACK => {
-                    any_black = true;
-                    break; // verdict fixed: u cannot be black
-                }
-                UNDECIDED => any_undecided = true,
-                _ => {}
-            }
-        }
-        let decision = if any_black {
-            GRAY
-        } else if any_undecided {
-            UNDECIDED
-        } else {
-            BLACK
-        };
-        if decision == UNDECIDED {
-            remaining.push(u);
-        } else {
-            overlay.push((u, decision)); // pending ascending ⇒ overlay ascending
-            updates.push((u, decision));
-        }
-    }
-    (updates, remaining)
-}
-
-/// Parallel per-anchor bridge selection: each anchor's contribution
-/// (its 3-hop pairs' chosen intermediates) is computed with a
-/// per-worker [`BallScratch`]; the serial in-order union equals the
-/// sequential selection because the rule is per-pair deterministic.
-fn partitioned_bridges(g: &Graph, mis: &[NodeId], nthreads: usize) -> Vec<NodeId> {
-    let mut additional = BTreeSet::new();
-    for (_, contribution) in bridge_contributions(g, mis, nthreads) {
-        additional.extend(contribution);
-    }
-    additional.into_iter().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo2::AlgorithmTwo;
     use wcds_geom::deploy;
 
     // the oracle assert inside construct_parts IS the correctness
-    // check; these tests exercise it across layouts and thread counts
+    // check; these tests exercise it across inputs and thread counts
     // (the dedicated cross-seed sweep lives in
     // tests/partition_equivalence.rs at the workspace root)
 
@@ -329,21 +151,6 @@ mod tests {
             let got = PartitionedTwo::with_threads(nthreads).construct_parts(&udg);
             assert_eq!(got, seq, "nthreads {nthreads}");
         }
-    }
-
-    #[test]
-    fn many_cells_still_agree() {
-        // force a multi-cell layout despite a small n by clustering
-        // points into far-apart islands joined by a sparse chain
-        let mut pts = deploy::uniform(1500, 40.0, 40.0, 11);
-        // chain across the field so the graph is still one component
-        for i in 0..80 {
-            pts.push(wcds_geom::Point::new(i as f64 * 0.5, 20.0));
-        }
-        let udg = UnitDiskGraph::build(pts, 1.0);
-        let got = PartitionedTwo::new().construct_parts(&udg);
-        let seq = AlgorithmTwo::new().construct_parts(udg.graph());
-        assert_eq!(got, seq);
     }
 
     #[test]
@@ -362,16 +169,5 @@ mod tests {
         let udg = UnitDiskGraph::build(pts, 1.0);
         let got = PartitionedTwo::new().construct_parts(&udg);
         assert_eq!(got, AlgorithmTwo::new().construct_parts(udg.graph()));
-    }
-
-    #[test]
-    fn grid_layout_ignores_thread_count() {
-        let udg = UnitDiskGraph::build(deploy::uniform(3000, 17.0, 17.0, 5), 1.0);
-        let cells = grid_cells(udg.points());
-        let total: usize = cells.iter().map(Vec::len).sum();
-        assert_eq!(total, 3000, "every node owned by exactly one cell");
-        for cell in &cells {
-            assert!(cell.windows(2).all(|w| w[0] < w[1]), "owned lists ascend");
-        }
     }
 }

@@ -11,8 +11,9 @@
 //! point 0 0.25 1.5      # optional positions, one per node
 //! ```
 //!
-//! Everything is line-oriented; unknown lines are an error (fail fast
-//! rather than silently dropping data).
+//! Everything is line-oriented; unknown lines and non-finite
+//! coordinates are an error (fail fast rather than silently dropping
+//! data or placing a node nowhere).
 
 use crate::{Graph, GraphBuilder, NodeId};
 use std::error::Error;
@@ -192,6 +193,9 @@ pub fn from_text(text: &str) -> Result<GraphDocument, ParseGraphError> {
                 let u = parse_token::<NodeId>(parts.next(), line, line_no)?;
                 let x = parse_token::<f64>(parts.next(), line, line_no)?;
                 let y = parse_token::<f64>(parts.next(), line, line_no)?;
+                if !(x.is_finite() && y.is_finite()) {
+                    return Err(err(ParseErrorKind::Malformed(line.to_string())));
+                }
                 let slot = points.get_mut(u).ok_or_else(|| err(ParseErrorKind::OutOfRange(u)))?;
                 if slot.is_some() {
                     return Err(err(ParseErrorKind::DuplicatePoint(u)));
@@ -330,6 +334,16 @@ mod tests {
         for text in ["nodes", "nodes 2\nedge 0", "nodes 2\nedge", "nodes 1\npoint 0 0.5"] {
             let e = from_text(text).unwrap_err();
             assert!(matches!(e.kind(), ParseErrorKind::Malformed(_)), "{text:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn non_finite_points_are_malformed() {
+        for coord in ["NaN", "inf", "-inf", "infinity"] {
+            let text = format!("nodes 2\nedge 0 1\npoint 0 0 0\npoint 1 0.5 {coord}\n");
+            let e = from_text(&text).unwrap_err();
+            assert!(matches!(e.kind(), ParseErrorKind::Malformed(_)), "{coord}: {e}");
+            assert_eq!(e.line(), 4);
         }
     }
 

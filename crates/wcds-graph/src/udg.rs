@@ -203,11 +203,11 @@ const DIRECT_SCAN_BREAK_EVEN: f64 = 600.0;
 /// the direct cost against the grid's expected candidate work
 /// (`≈ 9n²/cells` pair checks) captures both ends with one inequality.
 fn grid_is_overkill(n: usize, radius: f64, width: f64, height: f64) -> bool {
-    (n as f64) * (0.5 - 9.0 / grid_cells(radius, width, height)).max(0.0) < DIRECT_SCAN_BREAK_EVEN
+    (n as f64) * (0.5 - 9.0 / covering_cells(radius, width, height)).max(0.0) < DIRECT_SCAN_BREAK_EVEN
 }
 
 /// Number of radius-sized grid cells covering a `width × height` extent.
-fn grid_cells(radius: f64, width: f64, height: f64) -> f64 {
+fn covering_cells(radius: f64, width: f64, height: f64) -> f64 {
     (width / radius).ceil().max(1.0) * (height / radius).ceil().max(1.0)
 }
 
@@ -218,7 +218,7 @@ fn grid_cells(radius: f64, width: f64, height: f64) -> f64 {
 /// than the hash index spends on buckets. Past a few cells per point the
 /// hash wins on memory and loses nothing measurable on speed.
 fn dense_grid_wasteful(n: usize, radius: f64, width: f64, height: f64) -> bool {
-    grid_cells(radius, width, height) > 4.0 * n as f64 + 64.0
+    covering_cells(radius, width, height) > 4.0 * n as f64 + 64.0
 }
 
 /// Extent `(width, height)` of the bounding box of `points`.

@@ -318,7 +318,8 @@ impl Client {
     /// # Errors
     ///
     /// See [`Client::request`]; server errors include `unsupported`
-    /// (static topology) and `out-of-range`.
+    /// (static topology), `out-of-range` and `bad-payload` (a
+    /// non-finite coordinate).
     pub fn mutate(
         &mut self,
         name: &str,
@@ -332,8 +333,8 @@ impl Client {
 
     /// Ships a whole mutation batch (a drift tick) in one frame,
     /// applied under one hold of the topology write lock with coalesced
-    /// repairs. All-or-nothing: any invalid id rejects the batch
-    /// server-side before anything is applied. The returned outcome's
+    /// repairs. All-or-nothing: any invalid id or non-finite coordinate
+    /// rejects the batch server-side before anything is applied. The returned outcome's
     /// epoch is the batch's final position in the topology's mutation
     /// log — a batch of `applied` mutations occupied epochs
     /// `epoch − applied + 1 ..= epoch`; `lease_wait_us` is always 0,
@@ -342,7 +343,7 @@ impl Client {
     /// # Errors
     ///
     /// See [`Client::request`]; server errors include `unsupported`
-    /// (static topology) and `out-of-range`.
+    /// (static topology), `out-of-range` and `bad-payload`.
     pub fn mutate_batch(
         &mut self,
         name: &str,

@@ -112,8 +112,9 @@ pub enum Request {
     /// topology write lock: each run of moves coalesces into one
     /// repair, and the final state is byte-identical to applying the
     /// same mutations one [`Request::Mutate`] at a time. Validation is
-    /// all-or-nothing: an out-of-range node id anywhere in the batch
-    /// rejects the whole frame before any mutation applies.
+    /// all-or-nothing: an out-of-range node id or a non-finite
+    /// coordinate anywhere in the batch rejects the whole frame before
+    /// any mutation applies.
     MutateBatch { name: String, mutations: Vec<Mutation> },
 }
 
@@ -124,7 +125,7 @@ pub enum ErrorCode {
     NotFound,
     /// `Create` for a name already in the store.
     AlreadyExists,
-    /// Unparsable graph payload.
+    /// Unparsable graph payload, or a non-finite mutation coordinate.
     BadPayload,
     /// Operation the topology cannot do (mutating a static one).
     Unsupported,

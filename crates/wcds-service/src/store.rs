@@ -486,13 +486,28 @@ fn oob_err(node: NodeId, n: usize) -> StoreError {
     err(ErrorCode::OutOfRange, format!("node {node} ≥ n = {n}"))
 }
 
-/// Checks every id in a batch against a running node count — a join
-/// adds a node, a leave removes one — so each id means what it would
-/// mean in a serial replay of the batch. The caller holds the topology
-/// write lock that applies the batch, so a rejected batch applies
-/// nothing.
+/// Rejects a `Move` or `Join` to a NaN or infinite coordinate before
+/// it reaches the dynamic graph, which asserts finite positions while
+/// the topology write lock is held.
+fn check_finite(mutation: &Mutation) -> Result<(), StoreError> {
+    match *mutation {
+        Mutation::Join { x, y } | Mutation::Move { x, y, .. }
+            if !(x.is_finite() && y.is_finite()) =>
+        {
+            Err(err(ErrorCode::BadPayload, format!("non-finite coordinate ({x}, {y})")))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Checks every coordinate in a batch for finiteness and every id
+/// against a running node count — a join adds a node, a leave removes
+/// one — so each id means what it would mean in a serial replay of the
+/// batch. The caller holds the topology write lock that applies the
+/// batch, so a rejected batch applies nothing.
 fn validate_batch(mutations: &[Mutation], mut n: usize) -> Result<(), StoreError> {
     for mu in mutations {
+        check_finite(mu)?;
         match *mu {
             Mutation::Join { .. } => n += 1,
             Mutation::Leave { node } | Mutation::Move { node, .. } if node >= n => {
@@ -567,6 +582,7 @@ fn apply_one(
     let Body::Mobile(m) = &mut t.body else {
         return Err(static_err(name));
     };
+    check_finite(mutation)?;
     let report = match *mutation {
         Mutation::Join { x, y } => m.apply_join(Point::new(x, y)),
         Mutation::Leave { node } => {
@@ -983,7 +999,8 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// `NotFound`, `Unsupported` (static topology), or `OutOfRange`.
+    /// `NotFound`, `Unsupported` (static topology), `OutOfRange`, or
+    /// `BadPayload` (a non-finite coordinate).
     pub fn mutate(&self, name: &str, mutation: &Mutation) -> Result<(u64, RepairReport), StoreError> {
         let entry = self.entry(name)?;
         let (epoch, report, patch) = apply_one(&entry, name, mutation)?;
@@ -1013,8 +1030,9 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// `NotFound`, `Unsupported` (static topology), or `OutOfRange`
-    /// (any invalid id in the batch; nothing is applied).
+    /// `NotFound`, `Unsupported` (static topology), `OutOfRange` (any
+    /// invalid id in the batch), or `BadPayload` (any non-finite
+    /// coordinate); a rejected batch applies nothing.
     pub fn mutate_batch(
         &self,
         name: &str,

@@ -1,7 +1,8 @@
-//! End-to-end tests over real TCP: a full scripted session, and the
+//! End-to-end tests over real TCP: a full scripted session, the
 //! concurrency stress satellite (≥ 8 client threads, mixed reads and
-//! mutations, serial-replay equivalence) — plus an in-process race
-//! between `MutateBatch` and a concurrent `Leave` on the store itself.
+//! mutations, serial-replay equivalence) and non-finite coordinates on
+//! every ingest path — plus an in-process race between `MutateBatch`
+//! and a concurrent `Leave` on the store itself.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -26,6 +27,10 @@ fn unwrap_path(outcome: RouteOutcome) -> Vec<usize> {
             panic!("expected a route, got Degraded {{ unreachable: {unreachable} }}")
         }
     }
+}
+
+fn is_bad_payload<T>(r: &Result<T, ClientError>) -> bool {
+    matches!(r, Err(ClientError::Server { code: ErrorCode::BadPayload, .. }))
 }
 
 fn payload(n: usize, side: f64, seed: u64) -> String {
@@ -383,6 +388,41 @@ fn mutate_batch_matches_serial_replay_and_is_atomic() {
 /// commit epochs of every reported mutation tile `1..=epoch` — a
 /// partly applied batch would advance the epoch unreported — and the
 /// final state equals a serial replay in epoch order.
+/// A NaN or infinite coordinate is a typed `BadPayload` on every path
+/// that carries one over the wire — a single `Mutate`, a `MutateBatch`
+/// after a valid move, and a `Create` payload — and never reaches the
+/// dynamic graph's finiteness assert under the topology write lock: the
+/// epoch stays put and the topology keeps routing and mutating.
+#[test]
+fn non_finite_coordinates_are_rejected_without_poisoning_the_topology() {
+    let handle = Server::bind("127.0.0.1:0", Store::new(), ServerConfig::default()).unwrap();
+    let mut c = Client::connect_with_timeout(handle.local_addr(), Duration::from_secs(10)).unwrap();
+    c.create("net", &payload(70, 4.0, 21)).unwrap();
+    let valid = Mutation::Move { node: 1, x: 2.0, y: 2.0 };
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for mutation in [
+            Mutation::Move { node: 0, x: bad, y: 1.0 },
+            Mutation::Join { x: 1.0, y: bad },
+        ] {
+            let single = c.mutate("net", mutation.clone());
+            assert!(is_bad_payload(&single), "{mutation:?}: {single:?}");
+            let batch = c.mutate_batch("net", &[valid.clone(), mutation.clone()]);
+            assert!(is_bad_payload(&batch), "[valid, {mutation:?}]: {batch:?}");
+        }
+        let text = format!("nodes 2\nedge 0 1\npoint 0 0 0\npoint 1 {bad} 0.5\n");
+        let created = c.create("bad", &text);
+        assert!(is_bad_payload(&created), "{text:?}: {created:?}");
+        assert_eq!(c.stats("net").unwrap().epoch, 0, "a rejected mutation applied");
+    }
+    assert_eq!(c.list().unwrap(), vec!["net".to_string()]);
+    let path = unwrap_path(c.route("net", 0, 69).unwrap());
+    assert_eq!((path.first(), path.last()), (Some(&0), Some(&69)));
+    let (epoch, _, _) = c.mutate("net", valid).unwrap();
+    assert_eq!(epoch, 1);
+    c.shutdown_server().unwrap();
+    handle.join();
+}
+
 #[test]
 fn mutate_batch_is_all_or_nothing_under_a_concurrent_leave() {
     const PAIRS: usize = 150;

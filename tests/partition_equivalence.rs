@@ -1,11 +1,12 @@
-//! Grid-partitioned Algorithm II ⟷ sequential equivalence.
+//! Threaded Algorithm II ⟷ sequential equivalence.
 //!
 //! [`PartitionedTwo`] promises *byte-identical* output to
 //! [`AlgorithmTwo`] for every thread count — the property the whole
-//! city-scale pipeline rests on. This suite checks it directly (the
+//! city-scale pipeline rests on. Its MIS is the sequential greedy scan,
+//! so this suite pins the threaded per-anchor bridge sweep: the
 //! construction also self-checks at n ≤ 5000; here the comparison is
 //! explicit so the property is exercised at several widths and on
-//! adversarial inputs, with and without `--features rayon`).
+//! adversarial inputs, with and without `--features rayon`.
 
 use wcds_core::algo2::AlgorithmTwo;
 use wcds_core::partition::PartitionedTwo;
@@ -13,7 +14,7 @@ use wcds_geom::{deploy, Point};
 use wcds_graph::UnitDiskGraph;
 
 /// Thread widths exercised per instance: serial, an odd width that
-/// splits cells unevenly, and more workers than cells for small inputs.
+/// splits the anchors unevenly, and more workers than cores.
 const WIDTHS: [usize; 3] = [1, 3, 8];
 
 fn assert_equivalent(udg: &UnitDiskGraph, tag: &str) {
@@ -41,7 +42,6 @@ fn uniform_deployments_match_sequential_small() {
 
 #[test]
 fn uniform_deployments_match_sequential_n5000() {
-    // large enough that the layout spans several super-cells per axis
     let side = side_for_avg_degree(5000, 11.0);
     for seed in 0..20u64 {
         let udg = UnitDiskGraph::build(deploy::uniform(5000, side, side, seed), 1.0);
@@ -57,7 +57,7 @@ fn clustered_and_skewed_deployments_match_sequential() {
             &UnitDiskGraph::build(pts, 1.0),
             &format!("clustered seed={seed}"),
         );
-        // extreme aspect ratio: the cell grid collapses to one row
+        // extreme aspect ratio: a near-linear ribbon
         let pts = deploy::uniform(600, 80.0, 0.5, seed);
         assert_equivalent(
             &UnitDiskGraph::build(pts, 1.0),
@@ -68,9 +68,9 @@ fn clustered_and_skewed_deployments_match_sequential() {
 
 #[test]
 fn lattice_points_on_cell_boundaries_match_sequential() {
-    // Exact lattices whose coordinates land on (or tie with) super-cell
-    // boundaries, plus coincident duplicates: ownership must come from
-    // the layout rule alone, never from floating-point tie luck.
+    // Exact lattices whose link lengths land on or just inside the
+    // unit radius, plus coincident duplicates: regular adjacency with
+    // many equal-distance ties.
     for (nx, ny, pitch) in [(40usize, 40usize, 0.75), (70, 15, 0.5), (34, 34, 0.9999999)] {
         let mut pts = Vec::new();
         for i in 0..nx {
@@ -91,7 +91,7 @@ fn lattice_points_on_cell_boundaries_match_sequential() {
 
 #[test]
 fn degenerate_extents_match_sequential() {
-    // collinear and coincident point sets collapse the cell grid
+    // collinear and coincident point sets: zero-extent bounding boxes
     let line: Vec<Point> = (0..500).map(|i| Point::new(i as f64 * 0.6, 2.5)).collect();
     assert_equivalent(&UnitDiskGraph::build(line, 1.0), "collinear");
     let heap: Vec<Point> = (0..300).map(|_| Point::new(1.0, 1.0)).collect();
