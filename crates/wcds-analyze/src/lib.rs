@@ -1,6 +1,6 @@
 //! In-repo correctness gate for the service layer (DESIGN.md §9).
 //!
-//! Four engines, one verdict (`cargo run -p wcds-analyze -- check`):
+//! Three engines, one verdict (`cargo run -p wcds-analyze -- check`):
 //!
 //! * [`lints`] — lexical source lints over the wire-facing modules
 //!   (`wcds-service::{protocol, server, store, client}`,
@@ -21,12 +21,6 @@
 //!   (`crates/wcds-analyze/analyze_baseline.json`); the planted-defect
 //!   fixture trees under `crates/wcds-analyze/fixtures/` prove the
 //!   analyzer catches what it claims.
-//! * [`races`] — an exhaustive bounded-interleaving checker
-//!   ([`wcds_sim::interleave`]) for the store's epoch-stamped
-//!   double-checked-rebuild protocol, driving the *actual* decision
-//!   functions via the [`wcds_service::rebuild`] shim. Asserts no
-//!   stale bundle is ever served and no epoch is rebuilt twice — and
-//!   proves its own sensitivity by catching two seeded protocol bugs.
 //! * [`totality`] — structure-aware enumeration of truncated, mutated,
 //!   and hostile frames through both wire decoders under
 //!   `catch_unwind`: no panics, and accepted frames round-trip.
@@ -40,6 +34,5 @@ pub mod json;
 pub mod lexer;
 pub mod lints;
 pub mod lockorder;
-pub mod races;
 pub mod reach;
 pub mod totality;

@@ -600,7 +600,7 @@ fn workspace_panic_sites(root: &Path) -> io::Result<usize> {
 /// Every `// analyze: allow(…)` pragma in non-test workspace code,
 /// with file, line, lint, and justification — the raw material for the
 /// per-lint suppression budgets pinned in the gate test. Scans the
-/// same trees as [`workspace_panic_sites`] (every `crates/*/src` plus
+/// same trees as `workspace_panic_sites` (every `crates/*/src` plus
 /// the root `src/`), so a new suppression *anywhere* shows up here.
 ///
 /// # Errors

@@ -1,10 +1,9 @@
 //! `wcds-analyze` — the repo's correctness gate.
 //!
 //! ```text
-//! wcds-analyze check            # all four engines (the CI gate)
+//! wcds-analyze check            # all three engines (the CI gate)
 //! wcds-analyze lints [--root P] # source lints only
 //! wcds-analyze callgraph        # interprocedural analyses only
-//! wcds-analyze races            # store-rebuild interleaving checker
 //! wcds-analyze totality         # decoder totality only
 //! ```
 //!
@@ -17,11 +16,11 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use wcds_analyze::{callgraph, lints, races, totality};
+use wcds_analyze::{callgraph, lints, totality};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: wcds-analyze <check|lints|callgraph|races|totality> \
+        "usage: wcds-analyze <check|lints|callgraph|totality> \
          [--root <repo-root>] [--write-baseline]"
     );
     ExitCode::from(2)
@@ -40,7 +39,7 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--write-baseline" => write_baseline = true,
-            "check" | "lints" | "callgraph" | "races" | "totality" if command.is_none() => {
+            "check" | "lints" | "callgraph" | "totality" if command.is_none() => {
                 command = Some(arg.clone());
             }
             _ => return usage(),
@@ -54,9 +53,6 @@ fn main() -> ExitCode {
     }
     if command == "check" || command == "callgraph" {
         clean &= run_callgraph(&root, write_baseline);
-    }
-    if command == "check" || command == "races" {
-        clean &= run_races();
     }
     if command == "check" || command == "totality" {
         clean &= run_totality();
@@ -199,27 +195,6 @@ fn run_callgraph(root: &Path, write_baseline: bool) -> bool {
         diff.stale.len()
     );
     diff.is_clean()
-}
-
-fn run_races() -> bool {
-    println!("== races (store rebuild protocol) ==");
-    match races::run() {
-        Ok(report) => {
-            for s in &report.scenarios {
-                if s.schedules > 0 {
-                    println!("  {:<42} {:>6} schedules, {:>7} steps", s.name, s.schedules, s.steps);
-                } else {
-                    println!("  {:<42} seeded bug caught", s.name);
-                }
-            }
-            println!("  {} schedules explored, zero violations", report.total_schedules);
-            true
-        }
-        Err(e) => {
-            println!("  VIOLATION: {e}");
-            false
-        }
-    }
 }
 
 fn run_totality() -> bool {

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use wcds_analyze::{callgraph, lexer, lints, races, reach, totality};
+use wcds_analyze::{callgraph, lexer, lints, reach, totality};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -403,23 +403,6 @@ fn totality_seeds_cover_the_full_tag_range() {
         }
         Err(e) => panic!("{e}"),
     }
-}
-
-#[test]
-fn race_checker_is_exhaustive_and_clean() {
-    let report = races::run().unwrap_or_else(|e| panic!("race checker: {e}"));
-    // at least every 2-thread/4-step schedule: C(8,4) = 70
-    assert!(
-        report.total_schedules >= 70,
-        "only {} schedules explored",
-        report.total_schedules
-    );
-    let coverage = report
-        .scenarios
-        .iter()
-        .find(|s| s.name.starts_with("coverage"))
-        .expect("coverage probe ran");
-    assert_eq!(coverage.schedules, 70, "coverage probe must visit all C(8,4) schedules");
 }
 
 #[test]

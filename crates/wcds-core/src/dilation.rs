@@ -393,7 +393,7 @@ impl DilationReport {
 /// [`DilationReport::measure`], including the certified `ℓ_G ≥ |uv|`
 /// straight-line lower bound that lets a source skip the `G`-Dijkstra
 /// for pairs which provably cannot move the extremes (see
-/// [`GeoThresholds`]). No pair is ever approximated: a pair is either
+/// `GeoThresholds`). No pair is ever approximated: a pair is either
 /// swept exactly or not covered at all. The result is therefore
 /// **one-sided certified**:
 ///

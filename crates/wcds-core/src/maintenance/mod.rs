@@ -11,9 +11,9 @@
 //! incrementally end to end:
 //!
 //! * the topology lives in a [`DynamicUdg`] — every move/join/leave
-//!   yields an `O(Δ)` [`TopoDelta`] and splices the CSR instead of
+//!   yields an `O(Δ)` [`TopoDelta`](wcds_graph::TopoDelta) and splices the CSR instead of
 //!   rebuilding it;
-//! * the MIS is repaired by the ascending-id cascade in [`region`],
+//! * the MIS is repaired by the ascending-id cascade in `region`,
 //!   seeded at the delta's disturbed nodes, which restores the exact
 //!   lexicographic-first MIS a from-scratch greedy run would build;
 //! * additional dominators are kept as per-MIS-node *contribution sets*

@@ -11,7 +11,7 @@
 //!   anchors (each pair `(u, w)` is charged to its smaller endpoint),
 //!   so anchors are swept in parallel on the dependency-free thread
 //!   engine in [`wcds_graph::parallel`], each worker with its own
-//!   [`BallScratch`], and the per-anchor contributions are unioned
+//!   `BallScratch`, and the per-anchor contributions are unioned
 //!   serially in anchor order.
 //!
 //! The sweep is **thread-count invariant by construction**: workers own

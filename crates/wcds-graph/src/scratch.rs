@@ -130,7 +130,7 @@ impl PartialOrd for HeapEntry {
 /// once at construction so relaxation loops run assert-free.
 ///
 /// Entry `i` weighs the edge whose head is `targets[i]` in
-/// [`Graph::csr`]. Both directions of an undirected edge carry their
+/// [`Graph::csr32`]. Both directions of an undirected edge carry their
 /// own (equal) entry.
 #[derive(Debug, Clone)]
 pub struct CsrWeights {

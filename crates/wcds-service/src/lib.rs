@@ -13,8 +13,11 @@
 //!   by every mutation and a lazily built artifact bundle (Algorithm II
 //!   WCDS + spanner + routing tables) stamped with its build epoch and
 //!   published in its own `RwLock`ed slot, apart from the topology
-//!   lock. Reads hit the cache while the stamp matches — never waiting
-//!   on a repair — and mutations invalidate by bumping the epoch.
+//!   lock. The slot is written only under the topology write lock, so
+//!   a read is a hit when the bundle's epoch equals the epoch atomic —
+//!   never waiting on a repair — and a mutation that keeps every
+//!   dominator publishes a patched bundle in the same hold that
+//!   advances the epoch.
 //! * [`server`] — the TCP front end, with two engines behind one
 //!   handle: the default **readiness event loop** (epoll via raw
 //!   syscalls, nonblocking sockets, per-connection incremental framing,
@@ -22,9 +25,6 @@
 //!   **worker pool**, kept as the byte-identical replay oracle.
 //! * [`client`] — a blocking client with one typed method per request,
 //!   plus a pipelined mode (send N frames, drain N responses in order).
-//! * [`rebuild`] — the store's epoch / double-checked-rebuild decision
-//!   logic behind a shim trait, so the `wcds-analyze` race checker can
-//!   exhaustively model-check the exact code path the store runs.
 //!
 //! The crate is dependency-free beyond the workspace compute crates:
 //! `std::net` + `std::thread` only (DESIGN.md §7).
@@ -54,7 +54,6 @@ pub mod protocol;
 // Confined to `sys`; everything above it is safe code.
 #[allow(unsafe_code)]
 mod sys;
-pub mod rebuild;
 pub mod server;
 pub mod store;
 

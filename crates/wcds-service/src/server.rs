@@ -27,7 +27,7 @@
 //! frame or [`ServerHandle::shutdown`] flips a shared flag, nudges the
 //! blocked acceptor (or parked event loop) awake with a loopback
 //! connection, and joins every thread; the listener closes when the
-//! serving thread returns. They also share [`handle`], the pure
+//! serving thread returns. They also share `handle`, the pure
 //! request→response dispatcher, so a request log replayed through
 //! either engine produces byte-identical responses.
 

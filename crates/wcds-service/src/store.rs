@@ -15,13 +15,22 @@
 //!   kept in its own `RwLock`ed slot, apart from the topology lock,
 //!   so readers never block on a repair.
 //!
-//! A query whose bundle stamp equals the current epoch is a **cache
-//! hit** and is served entirely from the published bundle: it takes
+//! A query whose published bundle is stamped with the current epoch is
+//! a **cache hit** and is served entirely from that bundle: it takes
 //! the slot's read lock only to clone the `Arc`, and never the
 //! topology lock, so it completes while a repair holds that lock
 //! (`cache_hit_reads_complete_while_a_repair_holds_the_topology_lock`).
-//! A mutation advances the epoch; the next query observes the stale
-//! stamp, rebuilds under the topology write lock, and republishes.
+//! A stale stamp sends the query to the topology write lock, where it
+//! double-checks the slot, rebuilds if still stale, and republishes.
+//!
+//! **The write rule.** The slot is written only while the topology
+//! write lock is held: `Entry::publish` takes the write guard as its
+//! witness. Every publish — rebuild, patch, harden, heal — therefore
+//! happens in the same hold as the epoch it is stamped with, and a
+//! mutation advances the epoch and publishes its patch in one hold, so
+//! it linearizes at its epoch advance. With one writer at a time,
+//! freshness is one comparison: the served bundle's own epoch against
+//! one load of the epoch atomic (DESIGN.md §8.3a).
 //!
 //! Mutations serialize on the topology write lock: [`Store::mutate`]
 //! and [`Store::mutate_batch`] validate and apply under one hold of
@@ -33,7 +42,6 @@
 //! the read path never needs a write lock.
 
 use crate::protocol::{ErrorCode, Mutation, TopologyStats};
-use crate::rebuild::{read_check, write_check, EpochView, ReadDecision, WriteDecision};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -188,25 +196,6 @@ struct Topology {
     leave_since_bundle: bool,
 }
 
-/// A lock-free snapshot of the epoch / bundle-stamp pair: the shim the
-/// `wcds-analyze` race checker model-checks. The store's cache
-/// decisions are exactly `rebuild::{read_check, write_check}` over
-/// this view.
-struct CacheView {
-    epoch: u64,
-    stamp: Option<u64>,
-}
-
-impl EpochView for CacheView {
-    fn current_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn bundle_stamp(&self) -> Option<u64> {
-        self.stamp
-    }
-}
-
 /// What a bundle build derives its dominating set from. Snapshotting
 /// this (plus a graph copy) under the read lock lets the expensive
 /// build itself run without holding any lock (see [`Store::heal`]).
@@ -268,11 +257,12 @@ impl Topology {
 /// published bundle in a separate `RwLock`ed slot (so readers never
 /// block on a repair), and counters outside both.
 ///
-/// **Lock discipline:** no code path acquires one of this entry's
-/// locks while holding another. Writers read `published` *before*
-/// taking the topology lock and publish *after* dropping it. That
-/// ordering is what makes the nested-lock lint trivially clean and
-/// deadlock impossible by construction.
+/// **Lock discipline:** the slot lock is a leaf — its guard is held
+/// only to clone or swap the `Arc`, and nothing is acquired under it.
+/// The one nesting is topology → slot: a writer holding the topology
+/// write lock loads and publishes the slot. No code takes the topology
+/// lock while holding the slot's, so the order is acyclic
+/// (`wcds-analyze`'s lock-order analysis checks it).
 #[derive(Debug)]
 struct Entry {
     topo: RwLock<Topology>,
@@ -280,14 +270,10 @@ struct Entry {
     /// (in commit order) while the topology write lock is held —
     /// so it is frozen under that lock, and lock-free to read.
     epoch: AtomicU64,
-    /// The published artifact bundle. Replaced only through
-    /// [`publish`], which never installs a bundle older than the
-    /// current one. Its guard is held only to clone or swap the `Arc`.
+    /// The published artifact bundle. Written only through
+    /// [`Entry::publish`], under the topology write lock; its guard is
+    /// held only to clone or swap the `Arc`.
     published: RwLock<Option<Arc<Bundle>>>,
-    /// Epoch stamp of the published bundle ([`NO_BUNDLE`] when none),
-    /// stored under the slot's write lock together with the install,
-    /// so it never lags the slot and freshness peeks need no lock.
-    stamp: AtomicU64,
     /// Whether the topology ingested with positions (immutable after
     /// create; mirrored here so stats never needs the topology lock).
     mobile: bool,
@@ -315,9 +301,6 @@ struct Entry {
     batched_mutations: AtomicU64,
 }
 
-/// `stamp` value meaning "no bundle has ever been published".
-const NO_BUNDLE: u64 = u64::MAX;
-
 impl Entry {
     fn new(topo: Topology) -> Self {
         let mobile = matches!(topo.body, Body::Mobile(_));
@@ -325,7 +308,6 @@ impl Entry {
             topo: RwLock::new(topo),
             epoch: AtomicU64::new(0),
             published: RwLock::new(None),
-            stamp: AtomicU64::new(NO_BUNDLE),
             mobile,
             hardened_k: AtomicU64::new(0),
             hardened_m: AtomicU64::new(0),
@@ -342,19 +324,6 @@ impl Entry {
         }
     }
 
-    /// The lock-free cache view (see [`CacheView`]). Exact whenever the
-    /// caller holds the topology lock (the epoch is frozen there, and a
-    /// racing publish can only move the stamp up to it); otherwise the
-    /// epoch may move on right after the read, which only ever turns a
-    /// would-be hit into a rebuild check, never the reverse.
-    fn view(&self) -> CacheView {
-        let stamp = self.stamp.load(Ordering::Acquire);
-        CacheView {
-            epoch: self.epoch.load(Ordering::Acquire),
-            stamp: (stamp != NO_BUNDLE).then_some(stamp),
-        }
-    }
-
     /// Clones the published bundle out of its slot, counting the load.
     /// Every serving path goes through here, so the `snapshot_reads`
     /// statistic is engine-independent (both the worker pool and the
@@ -366,39 +335,59 @@ impl Entry {
         self.published.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
-    /// `true` when the published bundle is stamped with the current
-    /// epoch — a pure atomic peek, no slot load, no lock.
-    fn stamp_fresh(&self) -> bool {
-        let stamp = self.stamp.load(Ordering::Acquire);
-        stamp != NO_BUNDLE && stamp == self.epoch.load(Ordering::Acquire)
+    /// The freshness check every read shares: the published bundle when
+    /// its own epoch equals one load of the epoch atomic, taken after
+    /// the slot load. Publishes happen only under the topology write
+    /// lock, so a match means the bundle was current at that load — an
+    /// instant inside the caller's request.
+    fn fresh(&self) -> Option<Arc<Bundle>> {
+        self.load_published().filter(|b| b.epoch == self.epoch.load(Ordering::Acquire))
     }
-}
 
-/// Installs `bundle` as the entry's published bundle unless a newer one
-/// is already in place: the install is skipped when the current stamp
-/// is strictly newer, so out-of-order publishes from racing writers can
-/// never roll the cache back. Same-epoch replacement is deliberate —
-/// `harden` republishes the current epoch with resilient content.
-///
-/// The stamp is stored under the slot's write lock, so a reader that
-/// peeks a fresh stamp and then loads the slot finds at least that
-/// epoch. Whichever bundle loses — the displaced one or a rejected
-/// newcomer — is dropped only after the guard is released, so freeing
-/// a large router never stalls readers.
-///
-/// The caller must hold **no** entry lock.
-fn publish(entry: &Entry, bundle: Arc<Bundle>) {
-    let epoch = bundle.epoch;
-    let loser = {
-        let mut slot = entry.published.write().unwrap_or_else(PoisonError::into_inner);
-        if slot.as_ref().is_some_and(|cur| cur.epoch > epoch) {
-            Some(bundle)
-        } else {
-            entry.stamp.store(epoch, Ordering::Release);
-            slot.replace(bundle)
+    /// Counter-free form of [`Entry::fresh`]: peeks at the slot without
+    /// cloning or counting.
+    fn is_fresh(&self) -> bool {
+        let slot = self.published.read().unwrap_or_else(PoisonError::into_inner);
+        slot.as_ref().is_some_and(|b| b.epoch == self.epoch.load(Ordering::Acquire))
+    }
+
+    /// Installs `bundle` as the published bundle. The topology write
+    /// guard is the witness that the caller holds this entry's write
+    /// lock, so no publish can race another publish or an epoch
+    /// advance. Returns the displaced bundle for the caller to drop
+    /// after releasing the guard, so freeing a large router never
+    /// lengthens the hold.
+    fn publish(
+        &self,
+        _held: &RwLockWriteGuard<'_, Topology>,
+        bundle: Arc<Bundle>,
+    ) -> Option<Arc<Bundle>> {
+        self.published.write().unwrap_or_else(PoisonError::into_inner).replace(bundle)
+    }
+
+    /// The bundle for the current epoch, plus whether it was a cache
+    /// hit. A miss takes the topology write lock, which freezes the
+    /// epoch, and double-checks the slot: a racing query may have
+    /// published this epoch while this one waited. Only a slot still
+    /// stale is rebuilt, so each epoch is rebuilt at most once.
+    fn current(&self) -> Result<(Arc<Bundle>, bool), StoreError> {
+        if let Some(b) = self.fresh() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((b, true));
         }
-    };
-    drop(loser);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let mut topo = write_guard(&self.topo)?;
+        if let Some(b) = self.fresh() {
+            return Ok((b, false));
+        }
+        self.rebuilds.fetch_add(1, Ordering::Relaxed);
+        let bundle = topo.build_bundle(self.epoch.load(Ordering::Acquire));
+        topo.leave_since_bundle = false;
+        let displaced = self.publish(&topo, Arc::clone(&bundle));
+        drop(topo);
+        drop(displaced);
+        Ok((bundle, false))
+    }
 }
 
 /// Outcome of a route query: a served path, or an honest account of a
@@ -561,21 +550,23 @@ fn patch_bundle(g: &Graph, prior: &Bundle, report: &RepairReport, epoch: u64) ->
 }
 
 /// Validates and applies one mutation under the topology write lock.
-/// Returns the post-mutation epoch, the repair report, and — when the
-/// repair preserved every dominator and the previously published
-/// bundle was exactly one epoch behind — a patched bundle for the
-/// caller to publish after the lock is dropped.
+/// Returns the post-mutation epoch, the repair report, and the bundle
+/// the mutation displaced from the published slot (for the caller to
+/// drop once the lock is released).
 ///
-/// The prior bundle is loaded *before* the topology lock is taken; a
-/// racing publish in between merely disables the patch (the
-/// `epoch + 1` filter fails) and the next query rebuilds lazily.
+/// The prior bundle is loaded inside the same hold that advances the
+/// epoch, so it is exactly the published one. When the repair
+/// preserved every dominator and that bundle was current, the patched
+/// bundle is built first, then the epoch advances and the patch is
+/// published in the same hold: no read can find the new epoch without
+/// its patch once the hold ends.
 fn apply_one(
     entry: &Entry,
     name: &str,
     mutation: &Mutation,
 ) -> Result<(u64, RepairReport, Option<Arc<Bundle>>), StoreError> {
-    let prior = entry.load_published();
     let mut topo = write_guard(&entry.topo)?;
+    let prior = entry.load_published();
     let t = &mut *topo;
     let resilience = t.resilience;
     let n = t.body.graph().node_count();
@@ -598,7 +589,7 @@ fn apply_one(
             m.apply_motion(&[(node, Point::new(x, y))])
         }
     };
-    let epoch = entry.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+    let epoch = entry.epoch.load(Ordering::Acquire) + 1;
     let is_leave = matches!(*mutation, Mutation::Leave { .. });
     if is_leave {
         t.leave_since_bundle = true;
@@ -612,7 +603,9 @@ fn apply_one(
             b.epoch + 1 == epoch && resilience.is_none() && !report.changed() && !is_leave
         })
         .map(|b| patch_bundle(t.body.graph(), &b, &report, epoch));
-    Ok((epoch, report, patch))
+    entry.epoch.store(epoch, Ordering::Release);
+    let displaced = patch.and_then(|b| entry.publish(&topo, b));
+    Ok((epoch, report, displaced))
 }
 
 /// Validates a batch and applies it under one hold of the topology
@@ -622,13 +615,18 @@ fn apply_one(
 /// segments apply singly. Maintains a running patched-bundle chain
 /// (dropped on dominator churn, a leave, or a hardened topology) so a
 /// quiet batch still leaves the cache hot.
+///
+/// The epoch advances once, after the last segment, and the chain is
+/// published right after in the same hold, so the whole batch
+/// linearizes at that advance. Returns the outcome and the displaced
+/// bundle, as [`apply_one`] does.
 fn apply_batch(
     entry: &Entry,
     name: &str,
     mutations: &[Mutation],
 ) -> Result<(BatchOutcome, Option<Arc<Bundle>>), StoreError> {
-    let prior = entry.load_published();
     let mut topo = write_guard(&entry.topo)?;
+    let prior = entry.load_published();
     let t = &mut *topo;
     let resilience = t.resilience;
     let Body::Mobile(m) = &mut t.body else {
@@ -657,8 +655,7 @@ fn apply_batch(
                     })
                     .collect();
                 let report = m.apply_motion(&moves);
-                let step = moves.len() as u64;
-                epoch = entry.epoch.fetch_add(step, Ordering::AcqRel) + step;
+                epoch += moves.len() as u64;
                 promoted += report.promoted.len() as u64;
                 demoted += report.demoted.len() as u64;
                 chain = chain
@@ -667,7 +664,7 @@ fn apply_batch(
             }
             Some(&Mutation::Join { x, y }) => {
                 let report = m.apply_join(Point::new(x, y));
-                epoch = entry.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+                epoch += 1;
                 promoted += report.promoted.len() as u64;
                 demoted += report.demoted.len() as u64;
                 chain = chain
@@ -676,7 +673,7 @@ fn apply_batch(
             }
             Some(&Mutation::Leave { node }) => {
                 let report = m.apply_leave(node);
-                epoch = entry.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+                epoch += 1;
                 promoted += report.promoted.len() as u64;
                 demoted += report.demoted.len() as u64;
                 leave_seen = true;
@@ -688,6 +685,8 @@ fn apply_batch(
     if leave_seen {
         t.leave_since_bundle = true;
     }
+    entry.epoch.store(epoch, Ordering::Release);
+    let displaced = chain.and_then(|b| entry.publish(&topo, b));
     let outcome = BatchOutcome {
         epoch,
         applied: mutations.len() as u64,
@@ -695,7 +694,7 @@ fn apply_batch(
         demoted,
         lease_wait_us: 0,
     };
-    Ok((outcome, chain))
+    Ok((outcome, displaced))
 }
 
 /// Serves a route over the **surviving backbone**: a BFS over the stale
@@ -754,23 +753,23 @@ fn surviving_backbone_route(
     RouteOutcome::Degraded { unreachable: narrow_count(g.node_count().saturating_sub(reached)) }
 }
 
-/// Serves a route wholly from a fresh published bundle — the cache-hit
-/// fast path, which never takes the topology lock. The caller proved
-/// `bundle.epoch` equals the current epoch, so the bundle's node-id
-/// space (and its graph snapshot) is the live one.
-fn route_fresh(
+/// Checks both route endpoints against `g`'s node range.
+fn check_nodes(g: &Graph, from: NodeId, to: NodeId) -> Result<(), StoreError> {
+    let n = g.node_count();
+    [from, to].into_iter().find(|&u| u >= n).map_or(Ok(()), |u| Err(oob_err(u, n)))
+}
+
+/// Serves a route wholly from `bundle`, which was current at some
+/// instant of this request, so its node-id space (and its graph
+/// snapshot) is the live one at that instant. Never takes the topology
+/// lock.
+fn route_over(
     entry: &Entry,
     bundle: &Bundle,
     from: NodeId,
     to: NodeId,
 ) -> Result<RouteOutcome, StoreError> {
-    let n = bundle.graph.node_count();
-    for u in [from, to] {
-        if u >= n {
-            return Err(err(ErrorCode::OutOfRange, format!("node {u} ≥ n = {n}")));
-        }
-    }
-    entry.hits.fetch_add(1, Ordering::Relaxed);
+    check_nodes(&bundle.graph, from, to)?;
     match bundle.router.route(from, to) {
         Some(path) => {
             entry.routes_ok.fetch_add(1, Ordering::Relaxed);
@@ -784,25 +783,17 @@ fn route_fresh(
                 .filter(|d| d.is_some())
                 .count();
             entry.routes_unreachable.fetch_add(1, Ordering::Relaxed);
+            let n = bundle.graph.node_count();
             Ok(RouteOutcome::Degraded { unreachable: narrow_count(n.saturating_sub(reached)) })
         }
     }
 }
 
-/// Simulates a broadcast over `bundle` against graph `g`. On the
-/// cache-hit fast path `g` is the bundle's own graph snapshot; on the
-/// slow path it is the live graph under the topology read lock (and
-/// the bundle was just rebuilt against it).
-fn broadcast_from(
-    bundle: &Bundle,
-    g: &Graph,
-    source: NodeId,
-) -> Result<BroadcastOutcome, StoreError> {
+/// Simulates a broadcast over `bundle` and its own graph snapshot.
+fn broadcast_from(bundle: &Bundle, source: NodeId) -> Result<BroadcastOutcome, StoreError> {
+    let g = &*bundle.graph;
     if source >= g.node_count() {
-        return Err(err(
-            ErrorCode::OutOfRange,
-            format!("node {source} ≥ n = {}", g.node_count()),
-        ));
+        return Err(oob_err(source, g.node_count()));
     }
     match bundle.plan() {
         Some(plan) => {
@@ -865,9 +856,8 @@ impl Store {
     /// stale the entry right after, and the full request path
     /// re-checks.
     pub fn is_fresh(&self, name: &str) -> bool {
-        self.topologies
-            .read()
-            .is_ok_and(|map| map.get(name).is_some_and(|e| e.stamp_fresh()))
+        let entry = self.topologies.read().ok().and_then(|map| map.get(name).cloned());
+        entry.is_some_and(|e| e.is_fresh())
     }
 
     fn entry(&self, name: &str) -> Result<Arc<Entry>, StoreError> {
@@ -925,58 +915,15 @@ impl Store {
 
     /// Returns the artifact bundle for the topology's **current**
     /// epoch, building it if the cached one is missing or stale, plus
-    /// whether this call was a cache hit.
+    /// whether this call was a cache hit. The bundle's epoch equals the
+    /// topology's epoch at some instant during the call, and concurrent
+    /// callers on one stale epoch share a single rebuild.
     ///
     /// # Errors
     ///
     /// `NotFound` for an unknown name.
     pub fn bundle(&self, name: &str) -> Result<(Arc<Bundle>, bool), StoreError> {
-        let entry = self.entry(name)?;
-        // hit path: one published-slot load — a repair holding the
-        // topology write lock never blocks this
-        {
-            let p = entry.load_published();
-            let view = CacheView {
-                epoch: entry.epoch.load(Ordering::Acquire),
-                stamp: p.as_ref().map(|b| b.epoch),
-            };
-            if read_check(&view) == ReadDecision::Hit {
-                if let Some(b) = p {
-                    entry.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((b, true));
-                }
-            }
-        }
-        entry.misses.fetch_add(1, Ordering::Relaxed);
-        // rebuild path: serialized on the topology write lock, which
-        // freezes the epoch for the duration of the build
-        let built = {
-            let mut topo = write_guard(&entry.topo)?;
-            // double-check: a racing query may have republished while
-            // we waited for the lock
-            if write_check(&entry.view()) == WriteDecision::FreshAlready {
-                None
-            } else {
-                entry.rebuilds.fetch_add(1, Ordering::Relaxed);
-                let b = topo.build_bundle(entry.epoch.load(Ordering::Acquire));
-                topo.leave_since_bundle = false;
-                Some(b)
-            }
-        };
-        match built {
-            Some(bundle) => {
-                publish(&entry, Arc::clone(&bundle));
-                Ok((bundle, false))
-            }
-            // a stamp is stored under the slot's write lock together
-            // with its bundle, so the load always finds one
-            None => entry
-                .load_published()
-                .map(|b| (b, false))
-                .ok_or_else(|| {
-                    err(ErrorCode::Internal, "fresh stamp with no published bundle")
-                }),
-        }
+        self.entry(name)?.current()
     }
 
     /// Applies one maintenance mutation, advancing the epoch.
@@ -988,14 +935,16 @@ impl Store {
     ///
     /// When the repair left every dominator in place (the common case
     /// for small motions and absorbed joins) and the published bundle
-    /// was exactly one epoch behind, the bundle is **patched**: the
-    /// WCDS is carried over, the router is spliced through
-    /// [`BackboneRouter::patched`] from the repair's net edge delta,
-    /// and the broadcast plan resets to its lazy unset state. The next
-    /// query is then a cache hit with artifacts byte-identical to a
-    /// from-scratch rebuild. Otherwise (dominator churn, a leave's id
-    /// compaction, or an already-stale bundle) the published bundle is
-    /// left in place and queries rebuild lazily on the epoch mismatch.
+    /// was current, the bundle is **patched**: the WCDS is carried
+    /// over, the router is spliced through [`BackboneRouter::patched`]
+    /// from the repair's net edge delta, and the broadcast plan resets
+    /// to its lazy unset state. The patch is published in the same
+    /// write-lock hold that advances the epoch, so the next query is a
+    /// cache hit with artifacts byte-identical to a from-scratch
+    /// rebuild, however reads interleave. Otherwise (dominator churn, a
+    /// leave's id compaction, or an already-stale bundle) the published
+    /// bundle is left in place and queries rebuild lazily on the epoch
+    /// mismatch.
     ///
     /// # Errors
     ///
@@ -1003,10 +952,8 @@ impl Store {
     /// `BadPayload` (a non-finite coordinate).
     pub fn mutate(&self, name: &str, mutation: &Mutation) -> Result<(u64, RepairReport), StoreError> {
         let entry = self.entry(name)?;
-        let (epoch, report, patch) = apply_one(&entry, name, mutation)?;
-        if let Some(b) = patch {
-            publish(&entry, b);
-        }
+        let (epoch, report, displaced) = apply_one(&entry, name, mutation)?;
+        drop(displaced);
         Ok((epoch, report))
     }
 
@@ -1023,10 +970,11 @@ impl Store {
     /// positions, so one coalesced pass is byte-identical to serial
     /// application.) `Join` / `Leave` mutations are their own
     /// single-mutation barriers (they change the id space). The epoch
-    /// advances by each segment's size in commit order, so a batch of
-    /// `k` returning epoch `e` occupied epochs `e − k + 1 ..= e`, and
-    /// the final state is byte-identical to applying the same
-    /// mutations serially in that order.
+    /// advances by the batch's size in one step at the end of the
+    /// hold, so a batch of `k` returning epoch `e` occupied epochs
+    /// `e − k + 1 ..= e`, readers see either none of the batch or all
+    /// of it, and the final state is byte-identical to applying the
+    /// same mutations serially in that order.
     ///
     /// # Errors
     ///
@@ -1049,10 +997,8 @@ impl Store {
                 lease_wait_us: 0,
             });
         }
-        let (outcome, patch) = apply_batch(&entry, name, mutations)?;
-        if let Some(b) = patch {
-            publish(&entry, b);
-        }
+        let (outcome, displaced) = apply_batch(&entry, name, mutations)?;
+        drop(displaced);
         Ok(outcome)
     }
 
@@ -1065,17 +1011,7 @@ impl Store {
     /// `NotFound` for an unknown name.
     pub fn stats(&self, name: &str) -> Result<TopologyStats, StoreError> {
         let entry = self.entry(name)?;
-        let snap = entry.load_published();
-        if let Some(b) =
-            snap.as_ref().filter(|b| b.epoch == entry.epoch.load(Ordering::Acquire))
-        {
-            // fresh-bundle fast path: every figure comes from the
-            // bundle, the entry's atomics, or their mirrors — no
-            // topology lock
-            entry.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(self.stats_for(&entry, b, true));
-        }
-        let (bundle, cached) = self.bundle(name)?;
+        let (bundle, cached) = entry.current()?;
         Ok(self.stats_for(&entry, &bundle, cached))
     }
 
@@ -1128,21 +1064,20 @@ impl Store {
         let params = ResilientParams::new(narrow(k), narrow(m))
             .map_err(|e| err(ErrorCode::OutOfRange, e.to_string()))?;
         let entry = self.entry(name)?;
-        let bundle = {
-            let mut topo = write_guard(&entry.topo)?;
-            topo.resilience = Some(params);
-            // atomic stats mirrors, written under the same write lock
-            // that guards `resilience` itself
-            entry.hardened_k.store(u64::from(params.k), Ordering::Relaxed);
-            entry.hardened_m.store(u64::from(params.m), Ordering::Relaxed);
-            entry.rebuilds.fetch_add(1, Ordering::Relaxed);
-            let b = topo.build_bundle(entry.epoch.load(Ordering::Acquire));
-            topo.leave_since_bundle = false;
-            b
-        };
-        // same-epoch replacement: publish swaps the plain bundle for
-        // the hardened one at the unchanged epoch
-        publish(&entry, Arc::clone(&bundle));
+        let mut topo = write_guard(&entry.topo)?;
+        topo.resilience = Some(params);
+        // atomic stats mirrors, written under the same write lock
+        // that guards `resilience` itself
+        entry.hardened_k.store(u64::from(params.k), Ordering::Relaxed);
+        entry.hardened_m.store(u64::from(params.m), Ordering::Relaxed);
+        entry.rebuilds.fetch_add(1, Ordering::Relaxed);
+        let bundle = topo.build_bundle(entry.epoch.load(Ordering::Acquire));
+        topo.leave_since_bundle = false;
+        // same-epoch replacement: the hardened bundle displaces the
+        // plain one at the unchanged epoch
+        let displaced = entry.publish(&topo, Arc::clone(&bundle));
+        drop(topo);
+        drop(displaced);
         match bundle.resilient {
             Some(s) => Ok(HardenOutcome {
                 k: u64::from(params.k),
@@ -1185,72 +1120,54 @@ impl Store {
         to: NodeId,
     ) -> Result<RouteOutcome, StoreError> {
         let entry = self.entry(name)?;
-        // load the published bundle *before* the topology lock (the
-        // one-lock-at-a-time discipline); the stamp comparison below
-        // rejects a bundle made stale by a racing rebuild
-        let snap = entry.load_published();
-        if let Some(b) =
-            snap.as_ref().filter(|b| b.epoch == entry.epoch.load(Ordering::Acquire))
-        {
-            // fresh-bundle fast path: served wholly from the bundle,
-            // no topology lock
-            return route_fresh(&entry, b, from, to);
-        }
-        let degraded = {
-            let topo = read_guard(&entry.topo)?;
-            let n = topo.body.graph().node_count();
-            for u in [from, to] {
-                if u >= n {
-                    return Err(err(ErrorCode::OutOfRange, format!("node {u} ≥ n = {n}")));
-                }
-            }
-            let view = entry.view();
-            if read_check(&view) != ReadDecision::Hit
-                && topo.resilience.is_some()
-                && !topo.leave_since_bundle
-            {
-                // stamp == snap.epoch proves `snap` is the bundle
-                // currently published, whose id space the clear
-                // leave_since_bundle flag vouches for
-                snap.as_ref()
-                    .filter(|b| view.bundle_stamp() == Some(b.epoch))
-                    .map(|b| surviving_backbone_route(topo.body.graph(), b, from, to))
-            } else {
-                None
-            }
-        };
-        if let Some(outcome) = degraded {
-            let counter = match outcome {
-                RouteOutcome::Path(_) => &entry.routes_degraded,
-                RouteOutcome::Degraded { .. } => &entry.routes_unreachable,
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            self.spawn_heal(&entry, name);
+        if let Some(b) = entry.fresh() {
+            // cache hit: served wholly from the bundle, no topology lock
+            let outcome = route_over(&entry, &b, from, to)?;
+            entry.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(outcome);
         }
-        let (bundle, _) = self.bundle(name)?;
-        let n = bundle.spanner.node_count();
-        for u in [from, to] {
-            if u >= n {
-                return Err(err(ErrorCode::OutOfRange, format!("node {u} ≥ n = {n}")));
-            }
+        if let Some(outcome) = self.route_degraded(&entry, name, from, to)? {
+            return Ok(outcome);
         }
-        match bundle.router.route(from, to) {
-            Some(path) => {
-                entry.routes_ok.fetch_add(1, Ordering::Relaxed);
-                Ok(RouteOutcome::Path(path))
+        let (bundle, _) = entry.current()?;
+        route_over(&entry, &bundle, from, to)
+    }
+
+    /// The degraded tier of [`Store::route`]: on a stale hardened
+    /// topology with no leave since its bundle, routes over the
+    /// surviving backbone under the topology read lock and kicks off a
+    /// background heal. `None` sends the caller to the rebuild path.
+    fn route_degraded(
+        &self,
+        entry: &Arc<Entry>,
+        name: &str,
+        from: NodeId,
+        to: NodeId,
+    ) -> Result<Option<RouteOutcome>, StoreError> {
+        let outcome = {
+            let topo = read_guard(&entry.topo)?;
+            let g = topo.body.graph();
+            check_nodes(g, from, to)?;
+            if topo.resilience.is_none() || topo.leave_since_bundle {
+                return Ok(None);
             }
-            None => {
-                // the spanner preserves component structure, so its
-                // component sizes are the graph's
-                let reached = traversal::bfs_distances(&bundle.spanner, from)
-                    .iter()
-                    .filter(|d| d.is_some())
-                    .count();
-                entry.routes_unreachable.fetch_add(1, Ordering::Relaxed);
-                Ok(RouteOutcome::Degraded { unreachable: narrow_count(n - reached) })
+            // the slot and the epoch are frozen under the topology
+            // lock; a clear leave_since_bundle vouches for the id space
+            // of the bundle published now
+            match entry.load_published() {
+                Some(b) if b.epoch != entry.epoch.load(Ordering::Acquire) => {
+                    surviving_backbone_route(g, &b, from, to)
+                }
+                _ => return Ok(None),
             }
-        }
+        };
+        let counter = match outcome {
+            RouteOutcome::Path(_) => &entry.routes_degraded,
+            RouteOutcome::Degraded { .. } => &entry.routes_unreachable,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.spawn_heal(entry, name);
+        Ok(Some(outcome))
     }
 
     /// Simulates a backbone broadcast from `source`.
@@ -1268,19 +1185,8 @@ impl Store {
         name: &str,
         source: NodeId,
     ) -> Result<BroadcastOutcome, StoreError> {
-        let entry = self.entry(name)?;
-        let snap = entry.load_published();
-        if let Some(b) =
-            snap.as_ref().filter(|b| b.epoch == entry.epoch.load(Ordering::Acquire))
-        {
-            // fresh-bundle fast path: the bundle's graph snapshot is
-            // the live graph, so the simulation needs no topology lock
-            entry.hits.fetch_add(1, Ordering::Relaxed);
-            return broadcast_from(b, &b.graph, source);
-        }
-        let (bundle, _) = self.bundle(name)?;
-        let topo = read_guard(&entry.topo)?;
-        broadcast_from(&bundle, topo.body.graph(), source)
+        let (bundle, _) = self.entry(name)?.current()?;
+        broadcast_from(&bundle, source)
     }
 
     /// Spawns (at most one) background heal thread for `entry`.
@@ -1305,9 +1211,11 @@ impl Store {
 
     /// One healing pass: snapshot the topology under the read lock,
     /// build fresh artifacts **outside any lock**, then install them
-    /// under the write lock only if no mutation raced the build (the
-    /// epoch is re-checked). Retries a bounded number of times under
-    /// sustained mutation pressure; reads keep degrading meanwhile.
+    /// under the write lock only if the epoch is unchanged and the slot
+    /// is still stale — a read may have rebuilt this epoch during the
+    /// off-lock build, and installing again would rebuild it twice.
+    /// Retries a bounded number of times under sustained mutation
+    /// pressure; reads keep degrading meanwhile.
     ///
     /// Returns whether a fresh bundle was installed.
     ///
@@ -1320,9 +1228,9 @@ impl Store {
             let entry = self.entry(name)?;
             let (epoch, graph, source) = {
                 let topo = read_guard(&entry.topo)?;
-                // the epoch is stable here: mutations advance it only
-                // under the topology *write* lock
-                if read_check(&entry.view()) == ReadDecision::Hit {
+                // the slot and the epoch are frozen here: both change
+                // only under the topology *write* lock
+                if entry.is_fresh() {
                     return Ok(false); // someone else already rebuilt
                 }
                 (
@@ -1332,20 +1240,16 @@ impl Store {
                 )
             };
             let bundle = build_artifacts(&graph, &source, epoch);
-            let installed = {
-                let mut topo = write_guard(&entry.topo)?;
-                if entry.epoch.load(Ordering::Acquire) == epoch {
-                    entry.rebuilds.fetch_add(1, Ordering::Relaxed);
-                    topo.leave_since_bundle = false;
-                    true
-                } else {
-                    false
-                }
-            };
-            if installed {
-                // a mutation slipping in between the lock drop and this
-                // publish simply outranks us (publish never rolls back)
-                publish(&entry, bundle);
+            let mut topo = write_guard(&entry.topo)?;
+            if entry.is_fresh() {
+                return Ok(false);
+            }
+            if entry.epoch.load(Ordering::Acquire) == epoch {
+                entry.rebuilds.fetch_add(1, Ordering::Relaxed);
+                topo.leave_since_bundle = false;
+                let displaced = entry.publish(&topo, bundle);
+                drop(topo);
+                drop(displaced);
                 return Ok(true);
             }
         }
@@ -1812,5 +1716,194 @@ mod tests {
         ));
         // every hit cloned the published bundle out of its slot
         assert!(store.stats("z").unwrap().snapshot_reads >= warm.snapshot_reads + 4);
+    }
+
+    /// The nudge trace of `stable_backbone_mutations_patch_without_rebuild`
+    /// (every node moved 0.02 units along x), run forth, back and forth
+    /// again, `per_call` moves per store call, while a reader thread
+    /// calls `Store::bundle` in a loop. The store may rebuild only for
+    /// the warm-up and once per call with dominator churn, and every
+    /// bundle served must be stamped between the epochs loaded just
+    /// before and just after its call.
+    fn nudge_trace_beside_a_hot_reader(per_call: usize) {
+        use std::sync::atomic::AtomicBool;
+
+        let store = Store::new();
+        let initial = payload(80, 4.0, 7);
+        store.create("net", &initial).unwrap();
+        let doc = io::from_text(&initial).unwrap();
+        let mut oracle = MaintainedWcds::new(doc.points.expect("mobile payload"), UDG_RADIUS);
+        store.bundle("net").unwrap();
+        let entry = store.entry("net").unwrap();
+
+        let done = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let (store, entry, done) = (store.clone(), Arc::clone(&entry), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut calls = 0u64;
+                while !done.load(Ordering::Acquire) {
+                    let before = entry.epoch.load(Ordering::Acquire);
+                    let (bundle, _) = store.bundle("net").unwrap();
+                    let after = entry.epoch.load(Ordering::Acquire);
+                    assert!(
+                        (before..=after).contains(&bundle.epoch),
+                        "served epoch {} outside [{before}, {after}]",
+                        bundle.epoch
+                    );
+                    calls += 1;
+                }
+                calls
+            })
+        };
+
+        let mut churned = 0u64;
+        let mut store_calls = 0u64;
+        for dx in [0.02, -0.02, 0.02] {
+            let moves: Vec<Mutation> = oracle
+                .points()
+                .iter()
+                .enumerate()
+                .map(|(node, p)| Mutation::Move { node, x: (p.x + dx).clamp(0.0, 4.0), y: p.y })
+                .collect();
+            for chunk in moves.chunks(per_call) {
+                store_calls += 1;
+                let motion: Vec<(NodeId, Point)> = chunk
+                    .iter()
+                    .filter_map(|mu| match *mu {
+                        Mutation::Move { node, x, y } => Some((node, Point::new(x, y))),
+                        _ => None,
+                    })
+                    .collect();
+                churned += u64::from(oracle.apply_motion(&motion).changed());
+                match chunk {
+                    [one] => {
+                        store.mutate("net", one).unwrap();
+                    }
+                    _ => {
+                        store.mutate_batch("net", chunk).unwrap();
+                    }
+                }
+                // let a reader queued on the write lock in before the
+                // next call: the interleaving in which a mutation could
+                // see a bundle published since it last looked
+                std::thread::yield_now();
+            }
+        }
+        done.store(true, Ordering::Release);
+        let calls = reader.join().unwrap();
+        let rebuilds = entry.rebuilds.load(Ordering::Relaxed);
+        assert!(
+            rebuilds <= 1 + churned,
+            "{rebuilds} rebuilds for {churned} churned of {store_calls} store calls \
+             ({calls} reads)"
+        );
+        assert!(churned * 2 < store_calls, "trace too churny: {churned} of {store_calls}");
+        let (bundle, _) = store.bundle("net").unwrap();
+        assert_eq!(bundle.wcds, oracle.wcds());
+        assert_eq!(bundle.router, BackboneRouter::build(oracle.graph(), &oracle.wcds()));
+    }
+
+    /// A hot reader must not turn patchable mutations into rebuilds:
+    /// the prior bundle is loaded, and the patch published, in the
+    /// write-lock hold that advances the epoch.
+    #[test]
+    fn a_hot_reader_leaves_patchable_mutations_patching() {
+        nudge_trace_beside_a_hot_reader(1);
+    }
+
+    /// The batch form of the hot-reader trace: two moves per
+    /// `mutate_batch` call.
+    #[test]
+    fn a_hot_reader_leaves_patchable_batches_patching() {
+        nudge_trace_beside_a_hot_reader(2);
+    }
+
+    /// The double check: eight readers released together on a stale
+    /// bundle queue on the write lock, one rebuilds, and the rest find
+    /// its bundle in the slot.
+    #[test]
+    fn racing_readers_of_a_stale_bundle_share_one_rebuild() {
+        use std::sync::Barrier;
+
+        let store = Store::new();
+        store.create("net", &payload(300, 8.0, 5)).unwrap();
+        store.bundle("net").unwrap();
+        let entry = store.entry("net").unwrap();
+        for round in 0..5 {
+            // a leave never patches: the bundle goes stale
+            store.mutate("net", &Mutation::Leave { node: round }).unwrap();
+            let before = entry.rebuilds.load(Ordering::Relaxed);
+            let barrier = Arc::new(Barrier::new(8));
+            let readers: Vec<_> = (0..8)
+                .map(|_| {
+                    let (store, barrier) = (store.clone(), Arc::clone(&barrier));
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        store.bundle("net").unwrap().0
+                    })
+                })
+                .collect();
+            let served: Vec<Arc<Bundle>> =
+                readers.into_iter().map(|h| h.join().unwrap()).collect();
+            assert_eq!(
+                entry.rebuilds.load(Ordering::Relaxed),
+                before + 1,
+                "round {round}: one stale epoch, one rebuild"
+            );
+            assert!(
+                served.iter().all(|b| Arc::ptr_eq(b, &served[0])),
+                "round {round}: every reader must get the one rebuilt bundle"
+            );
+        }
+    }
+
+    /// `heal` builds off-lock; a read that rebuilds the same epoch
+    /// meanwhile must make heal's install a no-op, not a second
+    /// rebuild of that epoch. The two calls swap threads every round,
+    /// so whichever thread leaves the barrier first, heal takes its
+    /// snapshot first in half of the rounds.
+    #[test]
+    fn heal_racing_a_read_rebuilds_each_epoch_once() {
+        use std::sync::Barrier;
+
+        fn call(store: &Store, heal: bool) {
+            if heal {
+                store.heal("net").unwrap();
+            } else {
+                store.bundle("net").unwrap();
+            }
+        }
+
+        let store = Store::new();
+        let initial = payload(120, 5.0, 7);
+        store.create("net", &initial).unwrap();
+        store.harden("net", 2, 2).unwrap();
+        let points = io::from_text(&initial).unwrap().points.expect("mobile payload");
+        let entry = store.entry("net").unwrap();
+        for (round, p) in points.iter().enumerate().take(24) {
+            // a hardened topology never patches: every move goes stale
+            let nudge = Mutation::Move { node: round, x: (p.x + 0.02).min(5.0), y: p.y };
+            let (epoch, _) = store.mutate("net", &nudge).unwrap();
+            let before = entry.rebuilds.load(Ordering::Relaxed);
+            let barrier = Arc::new(Barrier::new(2));
+            let heal_here = round % 2 == 0;
+            let other = {
+                let (store, barrier) = (store.clone(), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    call(&store, !heal_here);
+                })
+            };
+            barrier.wait();
+            call(&store, heal_here);
+            other.join().unwrap();
+            assert_eq!(
+                entry.rebuilds.load(Ordering::Relaxed),
+                before + 1,
+                "round {round}: epoch {epoch} rebuilt more than once"
+            );
+            let (bundle, hit) = store.bundle("net").unwrap();
+            assert!(hit && bundle.epoch == epoch, "round {round}: epoch {epoch} not published");
+        }
     }
 }

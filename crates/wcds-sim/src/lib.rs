@@ -18,11 +18,7 @@
 //!   counts (one *local broadcast* = one charged message, matching the
 //!   paper's accounting), plus the virtual completion time;
 //! * [`FaultPlan`] — crash/drop/duplicate fault injection for robustness
-//!   tests;
-//! * [`interleave`] — a separate, exhaustive bounded-interleaving
-//!   explorer for small *shared-memory* step machines (used by the
-//!   `wcds-analyze` race checker to model-check the service store's
-//!   rebuild protocol).
+//!   tests.
 //!
 //! Runs are deterministic: same topology + same seed + same schedule ⇒
 //! identical traces, bit for bit.
@@ -67,7 +63,6 @@
 
 mod context;
 mod fault;
-pub mod interleave;
 mod scheduler;
 mod stats;
 mod trace;
