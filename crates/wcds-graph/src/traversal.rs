@@ -60,38 +60,131 @@ pub fn bfs_tree(g: &Graph, source: NodeId) -> (Vec<Option<u32>>, Vec<Option<Node
     (dist, parent)
 }
 
-/// [`bfs_tree`] truncated at `radius` hops.
+/// Hop mark of a node outside the current [`BallTree`].
+const UNSEEN: u32 = u32::MAX;
+
+/// A reusable [`bfs_tree`] truncated at a radius: the ball of nodes
+/// within `radius` hops of one source, with their hops, parents and
+/// visit order.
 ///
-/// Distances and parents are **identical** to the full tree for every
-/// node within `radius` of `source` (the frontier is expanded in the
-/// same order, just not past the radius); nodes beyond stay `None`.
-/// Consumers that only inspect a bounded ball — the backbone router's
-/// 3-hop dominator links, the broadcast plan's spanning tree — get the
-/// same answer for `O(ball)` scan work instead of `O(n + |E|)`.
-pub fn bfs_tree_bounded(
-    g: &Graph,
-    source: NodeId,
-    radius: u32,
-) -> (Vec<Option<u32>>, Vec<Option<NodeId>>) {
-    let mut dist = vec![None; g.node_count()];
-    let mut parent = vec![None; g.node_count()];
-    let mut q = VecDeque::new();
-    dist[source] = Some(0);
-    q.push_back(source);
-    while let Some(u) = q.pop_front() {
-        let Some(du) = dist[u] else { continue }; // queued ⇒ distance set
-        if du == radius {
-            continue;
+/// Hops and parents are **identical** to the full tree's for every node
+/// in the ball: the frontier is expanded in the same FIFO order,
+/// neighbours in adjacency order, and a node keeps the first parent that
+/// discovers it. Consumers that only inspect a bounded ball — the
+/// backbone router's 3-hop dominator links, the broadcast plan's
+/// spanning tree — fill one `BallTree` per dominator and read only the
+/// ball's members from [`order`](Self::order).
+///
+/// The arrays are allocated once, grown to the largest graph filled so
+/// far, and each [`fill`](Self::fill) resets only the previous ball
+/// through its visit list, so a sweep over many sources costs
+/// `O(Σ ball)` instead of `O(sources · n)`.
+///
+/// # Examples
+///
+/// ```
+/// use wcds_graph::{generators, traversal::BallTree};
+///
+/// let g = generators::path(6);
+/// let mut ball = BallTree::default();
+/// ball.fill(&g, 2, 2);
+/// assert_eq!(ball.order(), &[2, 1, 3, 0, 4]);
+/// assert_eq!(ball.hop(4), Some(2));
+/// assert_eq!(ball.parent(4), Some(3));
+/// assert_eq!(ball.interior(4), Some(vec![3]));
+/// assert_eq!(ball.hop(5), None);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct BallTree {
+    /// Per node, its hop distance from the source, or [`UNSEEN`].
+    hop: Vec<u32>,
+    /// Per node, the node that discovered it; meaningful only inside the
+    /// ball.
+    parent: Vec<NodeId>,
+    /// The ball in visit order, the source first; also the BFS queue.
+    order: Vec<NodeId>,
+}
+
+impl BallTree {
+    /// Replaces the ball with the nodes within `radius` hops of `source`
+    /// in `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is out of range.
+    pub fn fill(&mut self, g: &Graph, source: NodeId, radius: u32) {
+        let n = g.node_count();
+        assert!(source < n, "source {source} out of range for {n} nodes");
+        for &v in &self.order {
+            if let Some(h) = self.hop.get_mut(v) {
+                *h = UNSEEN;
+            }
         }
-        for v in g.adj(u) {
-            if dist[v].is_none() {
-                dist[v] = Some(du + 1);
-                parent[v] = Some(u);
-                q.push_back(v);
+        self.order.clear();
+        if self.hop.len() < n {
+            self.hop.resize(n, UNSEEN);
+            self.parent.resize(n, 0);
+        }
+        if let Some(h) = self.hop.get_mut(source) {
+            *h = 0;
+            self.order.push(source);
+        }
+        let mut next = 0;
+        while let Some(&u) = self.order.get(next) {
+            next += 1;
+            let du = self.hop.get(u).copied().unwrap_or(UNSEEN);
+            // FIFO order is hop-monotone: the rest of the queue is
+            // already on the rim
+            if du >= radius {
+                break;
+            }
+            for v in g.adj(u) {
+                match (self.hop.get_mut(v), self.parent.get_mut(v)) {
+                    (Some(hv), Some(pv)) if *hv == UNSEEN => {
+                        *hv = du + 1;
+                        *pv = u;
+                        self.order.push(v);
+                    }
+                    _ => {}
+                }
             }
         }
     }
-    (dist, parent)
+
+    /// The ball in BFS visit order: the source, then each hop layer in
+    /// discovery order. Empty before the first fill.
+    pub fn order(&self) -> &[NodeId] {
+        &self.order
+    }
+
+    /// Hop distance of `v` from the source, `None` outside the ball.
+    pub fn hop(&self, v: NodeId) -> Option<u32> {
+        self.hop.get(v).copied().filter(|&h| h != UNSEEN)
+    }
+
+    /// The tree parent of `v`: `None` for the source and outside the
+    /// ball.
+    pub fn parent(&self, v: NodeId) -> Option<NodeId> {
+        match self.hop(v)? {
+            0 => None,
+            _ => self.parent.get(v).copied(),
+        }
+    }
+
+    /// The nodes strictly between the source and `v` on the tree path,
+    /// in path order (empty for the source and its neighbours); `None`
+    /// outside the ball.
+    pub fn interior(&self, v: NodeId) -> Option<Vec<NodeId>> {
+        let hops = self.hop(v)?;
+        let mut path = Vec::new();
+        let mut cur = v;
+        for _ in 1..hops {
+            cur = self.parent.get(cur).copied()?;
+            path.push(cur);
+        }
+        path.reverse();
+        Some(path)
+    }
 }
 
 /// Reconstructs the path `source → target` from BFS parent pointers.
@@ -281,22 +374,50 @@ mod tests {
 
     #[test]
     fn bounded_tree_matches_full_tree_inside_the_ball() {
-        let g = generators::connected_gnp(80, 0.06, 17);
-        for source in [0, 11, 42] {
-            let (full_d, full_p) = bfs_tree(&g, source);
-            for radius in 0..5 {
-                let (d, p) = bfs_tree_bounded(&g, source, radius);
-                for v in g.nodes() {
-                    match full_d[v] {
-                        Some(dv) if dv <= radius => {
-                            assert_eq!(d[v], Some(dv), "src {source} r {radius} node {v}");
-                            assert_eq!(p[v], full_p[v], "src {source} r {radius} node {v}");
+        // one scratch for every fill, alternating a larger and a smaller
+        // graph, so a hop or parent left over from an earlier ball shows
+        let big = generators::connected_gnp(80, 0.06, 17);
+        let small = generators::connected_gnp(30, 0.12, 5);
+        let mut ball = BallTree::default();
+        for source in [0, 11, 29, 42, 79] {
+            for g in [&big, &small] {
+                if source >= g.node_count() {
+                    continue;
+                }
+                let (full_d, full_p) = bfs_tree(g, source);
+                // the FIFO visit order of an unbounded BFS
+                let mut full = SearchScratch::for_graph(g);
+                full.bfs(g, source);
+                for radius in 0..5 {
+                    ball.fill(g, source, radius);
+                    let within = |v: &NodeId| full_d[*v].is_some_and(|d| d <= radius);
+                    let expected: Vec<NodeId> =
+                        full.visit_order().iter().copied().filter(within).collect();
+                    let ctx = format!("n {} src {source} r {radius}", g.node_count());
+                    assert_eq!(ball.order(), &expected[..], "{ctx}: visit order");
+                    for v in 0..big.node_count() {
+                        if v < g.node_count() && within(&v) {
+                            assert_eq!(ball.hop(v), full_d[v], "{ctx} node {v}");
+                            assert_eq!(ball.parent(v), full_p[v], "{ctx} node {v}");
+                            let path = path_from_parents(&full_p, source, v).unwrap();
+                            let interior = path[1..].split_last().map_or(&[][..], |(_, i)| i);
+                            let got = ball.interior(v);
+                            assert_eq!(got.as_deref(), Some(interior), "{ctx} node {v}");
+                        } else {
+                            assert_eq!(ball.hop(v), None, "{ctx} node {v}");
+                            assert_eq!(ball.parent(v), None, "{ctx} node {v}");
+                            assert_eq!(ball.interior(v), None, "{ctx} node {v}");
                         }
-                        _ => assert_eq!(d[v], None, "src {source} r {radius} node {v}"),
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn ball_tree_rejects_an_out_of_range_source() {
+        BallTree::default().fill(&generators::path(3), 3, 2);
     }
 
     #[test]

@@ -141,9 +141,12 @@ impl Bundle {
     /// Derived from the bundle's own cached spanner on first call and
     /// memoized, so mutations and route/stats queries never pay for
     /// plan construction — only the first broadcast query after a
-    /// topology change does. The result is identical to building the
-    /// plan eagerly at bundle-construction time: the spanner and WCDS
-    /// it derives from are this epoch's.
+    /// topology change does. That query pays `O(Σ ball)`: the plan
+    /// fills one radius-3 ball per dominator it joins to its spanning
+    /// tree ([`BroadcastPlan::for_backbone`]), a few milliseconds at
+    /// n = 10k. The result is identical to building the plan eagerly
+    /// at bundle-construction time: the spanner and WCDS it derives
+    /// from are this epoch's.
     pub fn plan(&self) -> Option<&BroadcastPlan> {
         self.broadcastable.then(|| {
             self.plan.get_or_init(|| BroadcastPlan::for_backbone(&self.spanner, &self.wcds))

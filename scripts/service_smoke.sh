@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Service smoke test: start `wcds serve` on loopback, drive a scripted
-# ingest → construct → route → mutate → route → stats → shutdown
-# session through `wcds query`, and require a clean server exit. The
+# ingest → broadcast → construct → route → mutate → route → broadcast →
+# stats → shutdown session through `wcds query`, and require a clean
+# server exit. Each broadcast must print its exact expected line. The
 # session runs once per serving engine — the readiness event loop
 # (default) and the worker-pool oracle — and the event-loop leg also
 # exercises the pipelined client (`--repeat N --pipeline`).
@@ -26,6 +27,18 @@ cargo build --release "${CARGO_FLAGS[@]}" -p wcds-cli
 
 wcds generate --model uniform --n 60 --side 4 --seed 5 -o "${GRAPH}"
 
+# broadcast ADDR SOURCE LINE: one broadcast query whose output must be
+# exactly LINE (the plans are deterministic for the generated graph)
+broadcast() {
+  local addr="$1" source="$2" want="$3" got
+  got="$(wcds query broadcast --addr "${addr}" --name net --source "${source}")"
+  echo "${got}"
+  if ! grep -qxF -- "${want}" <<<"${got}"; then
+    echo "broadcast from ${source}: expected \`${want}\`" >&2
+    exit 1
+  fi
+}
+
 session() {
   local engine="$1" addr="$2"
 
@@ -40,11 +53,14 @@ session() {
 
   wcds query ping      --addr "${addr}"
   wcds query create    --addr "${addr}" --name net -i "${GRAPH}"
+  broadcast "${addr}" 0 "broadcast from 0: 30 forwarders, 60 informed"
   wcds query construct --addr "${addr}" --name net
   wcds query route     --addr "${addr}" --name net --from 0 --to 59
   wcds query mutate    --addr "${addr}" --name net --join 2.0,2.0
   wcds query route     --addr "${addr}" --name net --from 0 --to 60
   wcds query mutate    --addr "${addr}" --name net --move 5,1.5,1.5
+  # the mutations reset the lazy plan: this one is derived afresh
+  broadcast "${addr}" 60 "broadcast from 60: 34 forwarders, 61 informed"
   wcds query stats     --addr "${addr}" --name net
 
   if [ "${engine}" = "event-loop" ]; then
@@ -55,9 +71,12 @@ session() {
 
   # failure-storm smoke: harden to a (2,2)-resilient backbone, park a
   # node out of radio range (a crash through the mutation API), and
-  # require routing + stats to keep answering in degraded mode
+  # require broadcast, routing and stats to keep answering in degraded
+  # mode
   wcds query harden    --addr "${addr}" --name net --k 2 --m 2
+  broadcast "${addr}" 0 "broadcast from 0: 45 forwarders, 61 informed"
   wcds query mutate    --addr "${addr}" --name net --move 7,900.0,900.0
+  broadcast "${addr}" 0 "degraded: topology partitioned (1 nodes unreachable from 0)"
   wcds query route     --addr "${addr}" --name net --from 0 --to 59
   wcds query stats     --addr "${addr}" --name net
   wcds query export    --addr "${addr}" --name net | head -n 1
