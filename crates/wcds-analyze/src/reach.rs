@@ -2,8 +2,9 @@
 //!
 //! Replaces the strict-file allowlist with true reachability: BFS over
 //! the workspace call graph from every function an untrusted peer can
-//! drive (protocol decode, the server's accept/worker loops, every
-//! store method the dispatcher calls, the client's response path), and
+//! drive (protocol decode, the event loop and its executors, the
+//! request dispatcher, every store method it calls, the client's
+//! response path), and
 //! flag **every** panic site and slice-indexing site in any reached
 //! function, whatever crate it lives in. A panic in a `wcds-graph`
 //! helper called from the mutation path kills a worker that may hold
@@ -13,6 +14,7 @@
 //! is a code read, not an archaeology project.
 
 use crate::callgraph::{AnalysisFinding, CallGraph, FnId, Workspace};
+use crate::items::FnItem;
 use std::collections::VecDeque;
 
 /// Wire entry points as `(file suffix, function name)`. A function
@@ -24,10 +26,7 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("protocol.rs", "decode"),
     ("protocol.rs", "read_frame"),
     ("protocol.rs", "write_frame"),
-    // server loops and the request dispatcher
-    ("server.rs", "acceptor_loop"),
-    ("server.rs", "worker_loop"),
-    ("server.rs", "serve_connection"),
+    // the request dispatcher
     ("server.rs", "handle"),
     // the readiness engine: the loop thread and its executor pool
     ("eventloop.rs", "event_loop"),
@@ -37,7 +36,6 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("store.rs", "create"),
     ("store.rs", "export"),
     ("store.rs", "bundle"),
-    ("store.rs", "construct"),
     ("store.rs", "mutate"),
     ("store.rs", "mutate_batch"),
     ("store.rs", "stats"),
@@ -51,18 +49,31 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("client.rs", "request"),
 ];
 
+fn matches_row(f: &FnItem, (file, name): (&str, &str)) -> bool {
+    f.name == name && f.file.ends_with(file)
+}
+
 /// Functions matching [`ENTRY_POINTS`].
 pub fn entry_fns(ws: &Workspace) -> Vec<FnId> {
     let mut out = Vec::new();
     for (id, f) in ws.fns.iter().enumerate() {
-        if ENTRY_POINTS
-            .iter()
-            .any(|(file, name)| f.name == *name && f.file.ends_with(file))
-        {
+        if ENTRY_POINTS.iter().any(|&row| matches_row(f, row)) {
             out.push(id);
         }
     }
     out
+}
+
+/// [`ENTRY_POINTS`] rows that match no function in `ws`. A renamed or
+/// deleted entry point shows up here instead of silently unrooting the
+/// reachability analysis (one row may match several functions, so a
+/// count of matched functions cannot tell).
+pub fn unmatched_rows(ws: &Workspace) -> Vec<(&'static str, &'static str)> {
+    ENTRY_POINTS
+        .iter()
+        .copied()
+        .filter(|&row| !ws.fns.iter().any(|f| matches_row(f, row)))
+        .collect()
 }
 
 /// BFS from `entries`; returns reachability flags and, per reached

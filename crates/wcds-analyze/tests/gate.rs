@@ -202,13 +202,13 @@ fn the_real_tree_matches_the_analyzer_baseline() {
         diff.stale
     );
 
-    // every wire entry point in the table exists in the tree — a
-    // rename would silently unroot the reachability analysis
-    assert_eq!(
-        report.entries,
-        reach::ENTRY_POINTS.len(),
-        "entry-point table out of sync with the source tree"
-    );
+    // every row of the wire entry-point table matches a function in
+    // the tree — a rename would silently unroot the reachability
+    // analysis. Checked row by row: one row can match several
+    // functions (`decode` is both `Request::decode` and
+    // `Response::decode`), so a count of matched functions cannot tell
+    let ws = callgraph::scan(&repo_root()).expect("workspace readable");
+    assert_eq!(reach::unmatched_rows(&ws), [], "entry-point rows that match no function");
     // the burn-down is slice-index debt only: every reachable panic
     // site has been fixed or justified, and no lock-order cycle exists
     assert!(
@@ -222,16 +222,8 @@ fn the_real_tree_matches_the_analyzer_baseline() {
             .collect::<Vec<_>>()
     );
     // the analyzer suppression set is pinned like the lexical one:
-    // the worker pool's receiver-sharing mutex — nothing else
-    assert_eq!(report.suppressed.len(), 1, "suppression count moved: {:?}", report.suppressed);
-    assert!(
-        report
-            .suppressed
-            .iter()
-            .all(|s| s.lint == "hold-across-io" && s.file.ends_with("server.rs")),
-        "unexpected analyzer suppression: {:?}",
-        report.suppressed
-    );
+    // empty — every finding is fixed or in the baseline
+    assert!(report.suppressed.is_empty(), "analyzer suppressions: {:?}", report.suppressed);
     // the whole interprocedural pass stays interactive — CI budget
     let elapsed = started.elapsed();
     assert!(elapsed.as_secs() < 10, "analyze took {elapsed:?}, budget is 10 s");
@@ -259,7 +251,7 @@ fn workspace_pragma_budgets_are_pinned_per_lint() {
         ("as-truncation", 0),
         ("nested-lock", 0),
         ("lock-order", 0),
-        ("hold-across-io", 1),
+        ("hold-across-io", 0),
     ];
     for &(lint, budget) in budgets {
         let have = by_lint.get(lint).map_or(&[][..], Vec::as_slice);

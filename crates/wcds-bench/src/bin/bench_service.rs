@@ -400,7 +400,7 @@ fn main() {
 
     // executors > client threads + the admin connection, so offloaded
     // mutations never serialize the load generator
-    let config = ServerConfig { workers: threads + 2, ..ServerConfig::default() };
+    let config = ServerConfig { workers: threads + 2 };
     let handle =
         Server::bind("127.0.0.1:0", Store::new(), config).expect("bind loopback server");
     let addr = handle.local_addr();

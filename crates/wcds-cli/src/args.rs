@@ -3,7 +3,7 @@
 
 use std::error::Error;
 use std::fmt;
-use wcds_service::{Engine, Mutation};
+use wcds_service::Mutation;
 
 /// A CLI failure: bad arguments, I/O, or command-level errors.
 #[derive(Debug)]
@@ -144,10 +144,8 @@ pub enum Command {
     Serve {
         /// Listen address (`host:port`; port 0 picks a free port).
         addr: String,
-        /// Worker-pool size (or executor-pool size for the event loop).
+        /// Executor-pool size (threads for mutations and cache rebuilds).
         workers: usize,
-        /// Serving engine.
-        engine: Engine,
     },
     /// `wcds query` — request(s) against a running server.
     Query {
@@ -250,7 +248,7 @@ USAGE:
   wcds compare   -i FILE
   wcds render    -i FILE [--algo ALGO] -o FILE.svg
   wcds simulate  -i FILE --algo algo1|algo2 [--async-seed K]
-  wcds serve     [--addr HOST:PORT] [--workers N] [--engine event-loop|worker-pool]
+  wcds serve     [--addr HOST:PORT] [--workers N]
   wcds query     ACTION --addr HOST:PORT [--repeat N] [--pipeline] [action flags]
   wcds help
 
@@ -266,26 +264,50 @@ QUERY ACTIONS:
   harden    --name T --k K --m M
 ";
 
+/// Looks flags up in a subcommand's arguments and records each
+/// position a lookup consumed, so [`ArgScanner::finish`] can reject
+/// the arguments no lookup read.
 struct ArgScanner<'a> {
     argv: &'a [String],
-    i: usize,
+    consumed: Vec<bool>,
 }
 
 impl<'a> ArgScanner<'a> {
     fn new(argv: &'a [String]) -> Self {
-        Self { argv, i: 0 }
+        Self { argv, consumed: vec![false; argv.len()] }
     }
 
+    fn consume(&mut self, pos: usize) {
+        if let Some(c) = self.consumed.get_mut(pos) {
+            *c = true;
+        }
+    }
+
+    /// The value after `flag`; consumes both.
     fn value_of(&mut self, flag: &str) -> Option<&'a str> {
-        self.argv
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|p| self.argv.get(p + 1))
-            .map(String::as_str)
+        let pos = self.argv.iter().position(|a| a == flag)?;
+        let value = self.argv.get(pos + 1)?;
+        self.consume(pos);
+        self.consume(pos + 1);
+        Some(value)
     }
 
-    fn has_flag(&self, flag: &str) -> bool {
-        self.argv.iter().any(|a| a == flag)
+    fn has_flag(&mut self, flag: &str) -> bool {
+        let pos = self.argv.iter().position(|a| a == flag);
+        if let Some(pos) = pos {
+            self.consume(pos);
+        }
+        pos.is_some()
+    }
+
+    /// Fails on the first argument that no lookup consumed.
+    fn finish(&self, sub: &str) -> Result<(), CliError> {
+        match self.consumed.iter().zip(self.argv).find(|(&c, _)| !c) {
+            Some((_, arg)) => {
+                Err(CliError(format!("unexpected argument `{arg}` for `wcds {sub}`")))
+            }
+            None => Ok(()),
+        }
     }
 }
 
@@ -308,9 +330,8 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
     };
     let rest = &argv[1..];
     let mut s = ArgScanner::new(rest);
-    let _ = s.i;
-    match sub.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
+    let cmd = match sub.as_str() {
+        "help" | "--help" | "-h" => return Ok(Command::Help),
         "generate" => {
             let model = match required(&mut s, "--model")? {
                 "uniform" => Model::Uniform,
@@ -386,21 +407,13 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
             if workers == 0 {
                 return Err(CliError("--workers must be at least 1".into()));
             }
-            let engine = match s.value_of("--engine") {
-                None | Some("event-loop") => Engine::EventLoop,
-                Some("worker-pool") => Engine::WorkerPool,
-                Some(other) => {
-                    return Err(CliError(format!(
-                        "unknown engine `{other}` (try event-loop or worker-pool)"
-                    )));
-                }
-            };
-            Ok(Command::Serve { addr, workers, engine })
+            Ok(Command::Serve { addr, workers })
         }
         "query" => {
             let action_name = rest
                 .first()
                 .ok_or_else(|| CliError(format!("query needs an action\n\n{USAGE}")))?;
+            s.consume(0);
             let addr = s.value_of("--addr").unwrap_or("127.0.0.1:7700").to_string();
             let action = parse_query_action(action_name, &mut s)?;
             let repeat = match s.value_of("--repeat") {
@@ -414,7 +427,9 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
             Ok(Command::Query { addr, action, repeat, pipeline })
         }
         other => Err(CliError(format!("unknown subcommand `{other}`\n\n{USAGE}"))),
-    }
+    }?;
+    s.finish(sub)?;
+    Ok(cmd)
 }
 
 /// Parses the numbers of `--join X,Y` / `--move N,X,Y` style values.
@@ -587,11 +602,11 @@ mod tests {
     fn serve_and_query_parse() {
         assert_eq!(
             parse(&argv("serve")).unwrap(),
-            Command::Serve { addr: "127.0.0.1:7700".into(), workers: 4, engine: Engine::EventLoop }
+            Command::Serve { addr: "127.0.0.1:7700".into(), workers: 4 }
         );
         assert_eq!(
             parse(&argv("serve --addr 0.0.0.0:9000 --workers 8")).unwrap(),
-            Command::Serve { addr: "0.0.0.0:9000".into(), workers: 8, engine: Engine::EventLoop }
+            Command::Serve { addr: "0.0.0.0:9000".into(), workers: 8 }
         );
         assert_eq!(
             parse(&argv("query ping --addr 127.0.0.1:7701")).unwrap(),
@@ -644,6 +659,19 @@ mod tests {
                 pipeline: false
             }
         );
+        // a negative value is consumed as the flag's value
+        assert_eq!(
+            parse(&argv("query mutate --name n --join -1,2")).unwrap(),
+            Command::Query {
+                addr: "127.0.0.1:7700".into(),
+                action: QueryAction::Mutate {
+                    name: "n".into(),
+                    mutation: Mutation::Join { x: -1.0, y: 2.0 }
+                },
+                repeat: 1,
+                pipeline: false
+            }
+        );
         assert_eq!(
             parse(&argv("query mutate --name net --leave 7")).unwrap(),
             Command::Query {
@@ -654,14 +682,6 @@ mod tests {
                 },
                 repeat: 1,
                 pipeline: false
-            }
-        );
-        assert_eq!(
-            parse(&argv("serve --engine worker-pool")).unwrap(),
-            Command::Serve {
-                addr: "127.0.0.1:7700".into(),
-                workers: 4,
-                engine: Engine::WorkerPool
             }
         );
         assert_eq!(
@@ -678,7 +698,14 @@ mod tests {
     #[test]
     fn serve_and_query_errors() {
         assert!(parse(&argv("serve --workers 0")).unwrap_err().0.contains("--workers"));
-        assert!(parse(&argv("serve --engine frob")).unwrap_err().0.contains("frob"));
+        // one serving engine: an engine choice is an unknown flag
+        assert!(parse(&argv("serve --engine worker-pool")).unwrap_err().0.contains("`--engine`"));
+        assert!(parse(&argv("serve --wokers 8")).unwrap_err().0.contains("`--wokers`"));
+        // a repeated flag's second copy is never read, and a flag
+        // missing its value is not consumed either
+        assert!(parse(&argv("serve --workers 2 --workers 3")).unwrap_err().0.contains("`--workers`"));
+        assert!(parse(&argv("serve --addr")).unwrap_err().0.contains("`--addr`"));
+        assert!(parse(&argv("query ping extra")).unwrap_err().0.contains("`extra`"));
         assert!(parse(&argv("query ping --repeat 0")).unwrap_err().0.contains("--repeat"));
         assert!(parse(&argv("query")).unwrap_err().0.contains("action"));
         assert!(parse(&argv("query frob")).unwrap_err().0.contains("frob"));
@@ -697,5 +724,10 @@ mod tests {
         assert!(parse(&argv("simulate -i x --algo wu-li")).unwrap_err().0.contains("algo1"));
         assert!(parse(&argv("validate -i x --set ,")).is_err());
         assert!(parse(&argv("route -i x --from a --to 2")).unwrap_err().0.contains("--from"));
+        // an argument no lookup reads is named, not ignored
+        let err = parse(&argv("stats -i g.graph --frob")).unwrap_err().0;
+        assert!(err.contains("`--frob`") && err.contains("stats"), "{err}");
+        let err = parse(&argv("route -i x --from 1 --to 2 stray --via 3")).unwrap_err().0;
+        assert!(err.contains("`stray`"), "{err}");
     }
 }

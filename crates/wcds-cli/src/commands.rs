@@ -15,7 +15,7 @@ use wcds_graph::metrics::GraphMetrics;
 use wcds_graph::{domination, io, traversal, UnitDiskGraph};
 use wcds_routing::BackboneRouter;
 use wcds_service::{
-    BroadcastOutcome, Client, ClientError, Engine, Request, Response, RouteOutcome, Server,
+    BroadcastOutcome, Client, ClientError, Request, Response, RouteOutcome, Server,
     ServerConfig, Store,
 };
 use wcds_sim::Schedule;
@@ -43,7 +43,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
         Command::Compare { input } => compare(&load(&input)?),
         Command::Render { input, algo, output } => render(&load(&input)?, algo, &output),
         Command::Simulate { input, algo, async_seed } => simulate(&load(&input)?, algo, async_seed),
-        Command::Serve { addr, workers, engine } => serve(&addr, workers, engine),
+        Command::Serve { addr, workers } => serve(&addr, workers),
         Command::Query { addr, action, repeat, pipeline } => {
             query(&addr, action, repeat, pipeline)
         }
@@ -286,20 +286,13 @@ fn simulate(doc: &GraphDocument, algo: Algo, async_seed: Option<u64>) -> Result<
     Ok(out)
 }
 
-fn serve(addr: &str, workers: usize, engine: Engine) -> Result<String, CliError> {
-    let config = ServerConfig { workers, engine, ..ServerConfig::default() };
+fn serve(addr: &str, workers: usize) -> Result<String, CliError> {
+    let config = ServerConfig { workers };
     let handle = Server::bind(addr, Store::new(), config)
         .map_err(|e| CliError(format!("cannot bind `{addr}`: {e}")))?;
     // announced before blocking so scripts know the server is up (and,
     // with port 0, which port it got)
-    let engine_name = match engine {
-        Engine::EventLoop => "event-loop",
-        Engine::WorkerPool => "worker-pool",
-    };
-    println!(
-        "wcds-service listening on {} ({engine_name}, {workers} workers)",
-        handle.local_addr()
-    );
+    println!("wcds-service listening on {} ({workers} workers)", handle.local_addr());
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     let served = handle.join(); // blocks until a wire shutdown request

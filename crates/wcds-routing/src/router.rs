@@ -1,7 +1,7 @@
 //! Clusterhead unicast routing over the weakly-induced spanner.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use wcds_core::Wcds;
 use wcds_graph::traversal::{self, BallTree};
 use wcds_graph::{Graph, NodeId};
@@ -42,7 +42,9 @@ use wcds_graph::{Graph, NodeId};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BackboneRouter {
-    spanner: Graph,
+    /// The weakly-induced spanner, behind an `Arc` so a holder of the
+    /// router can publish it beside the router without a copy.
+    spanner: Arc<Graph>,
     clusterhead: Vec<Option<NodeId>>,
     /// dominator → (neighbor dominator → interior gateway nodes of one
     /// shortest black path)
@@ -54,7 +56,9 @@ pub struct BackboneRouter {
     /// batch of 64 destinations fills its first-hop columns on the
     /// first route that needs one (see [`FirstHops`]).
     hops: FirstHops,
-    graph_edges: Graph,
+    /// The graph the router was built or patched for, shared like
+    /// `spanner`; the direct-hop shortcut reads its edges.
+    graph: Arc<Graph>,
 }
 
 /// First-hop sentinel: no dominator-level route.
@@ -72,7 +76,7 @@ impl BackboneRouter {
     /// Panics if the WCDS is invalid for `g` (every node must have an
     /// adjacent MIS dominator or be one).
     pub fn build(g: &Graph, wcds: &Wcds) -> Self {
-        let spanner = wcds.weakly_induced_subgraph(g);
+        let spanner = Arc::new(wcds.weakly_induced_subgraph(g));
         let heads = wcds.mis_dominators();
         let is_head = g.membership(heads);
 
@@ -101,7 +105,7 @@ impl BackboneRouter {
             .collect();
         let (heads, hops) = FirstHops::index(&dom_links);
 
-        Self { spanner, clusterhead, dom_links, heads, hops, graph_edges: g.clone() }
+        Self { spanner, clusterhead, dom_links, heads, hops, graph: Arc::new(g.clone()) }
     }
 
     /// Rebuilds the router after a topology delta that did **not**
@@ -147,9 +151,9 @@ impl BackboneRouter {
             added.iter().filter(|e| touches_wcds(e)).copied().collect();
         let s_removed: Vec<(NodeId, NodeId)> =
             removed.iter().filter(|e| touches_wcds(e)).copied().collect();
-        let spanner = self.spanner.spliced(g.node_count(), &s_added, &s_removed);
+        let spanner = Arc::new(self.spanner.spliced(g.node_count(), &s_added, &s_removed));
         debug_assert_eq!(
-            spanner,
+            *spanner,
             wcds.weakly_induced_subgraph(g),
             "spliced spanner diverged from the weakly-induced subgraph"
         );
@@ -186,14 +190,20 @@ impl BackboneRouter {
         }
         let (heads, hops) = FirstHops::index(&dom_links);
 
-        let patched = Self { spanner, clusterhead, dom_links, heads, hops, graph_edges: g.clone() };
+        let graph = Arc::new(g.clone());
+        let patched = Self { spanner, clusterhead, dom_links, heads, hops, graph };
         debug_assert_eq!(patched, Self::build(g, wcds), "patched router diverged");
         patched
     }
 
     /// The weakly-induced spanner the router routes over.
-    pub fn spanner(&self) -> &Graph {
+    pub fn spanner(&self) -> &Arc<Graph> {
         &self.spanner
+    }
+
+    /// The graph the router was built or patched for.
+    pub fn graph(&self) -> &Arc<Graph> {
+        &self.graph
     }
 
     /// The clusterhead of node `u`. Total: an out-of-range or
@@ -237,7 +247,7 @@ impl BackboneRouter {
             return Some(vec![s]);
         }
         // adjacent pairs use the direct edge (paper: "a single hop")
-        if self.graph_edges.has_edge(s, t) {
+        if self.graph.has_edge(s, t) {
             return Some(vec![s, t]);
         }
         let hs = self.clusterhead(s);
@@ -280,7 +290,7 @@ impl BackboneRouter {
     /// direct first hop between adjacent endpoints).
     pub fn route_uses_spanner(&self, path: &[NodeId]) -> bool {
         if path.len() == 2 {
-            return self.graph_edges.has_edge(path[0], path[1]);
+            return self.graph.has_edge(path[0], path[1]);
         }
         path.windows(2).all(|w| self.spanner.has_edge(w[0], w[1]))
     }
@@ -656,7 +666,7 @@ mod tests {
         if s == t {
             return Some(vec![s]);
         }
-        if router.graph_edges.has_edge(s, t) {
+        if router.graph.has_edge(s, t) {
             return Some(vec![s, t]);
         }
         let (hs, ht) = (router.clusterhead(s), router.clusterhead(t));

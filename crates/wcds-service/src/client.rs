@@ -138,8 +138,8 @@ impl Client {
 
     /// Sends every request as one contiguous burst of frames, then
     /// reads back exactly `reqs.len()` responses, in request order
-    /// (both serving engines answer a connection's frames in the order
-    /// they arrived).
+    /// (the server answers a connection's frames in the order they
+    /// arrived).
     ///
     /// One buffered write replaces `reqs.len()` round trips; the
     /// event-loop server drains the whole burst on a single readiness

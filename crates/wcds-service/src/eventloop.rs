@@ -35,14 +35,14 @@
 //!   one wake reads at most [`MAX_DECODER_BACKLOG`] from one peer;
 //! * a connection stalled **mid-frame** with no forward progress is
 //!   dropped after roughly two sweep ticks, so a slow-loris peer costs
-//!   a slab slot for ~2×`io_timeout`, never a thread;
-//! * silent idle connections are reaped after `idle_ticks` sweeps,
-//!   matching the worker-pool engine's idle policy.
+//!   a slab slot for ~2×[`TICK_MS`] ms, never a thread;
+//! * silent idle connections are reaped after [`IDLE_TICKS`] sweeps.
 //!
-//! Both engines answer through [`crate::server::handle`], so replaying
-//! a request log through either produces byte-identical responses; the
-//! loop's extra freshness peek ([`crate::store::Store::is_fresh`])
-//! deliberately touches no counters.
+//! Every request is answered through [`crate::server::handle`], so the
+//! loop answers a replayed request log byte-identically to calling
+//! `handle` serially in process; the loop's extra freshness peek
+//! ([`crate::store::Store::is_fresh`]) deliberately touches no
+//! counters.
 
 #![cfg_attr(
     not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))),
@@ -59,7 +59,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Epoll token for the listening socket.
 const LISTENER_TOKEN: u64 = u64::MAX;
@@ -72,6 +72,11 @@ const MAX_OUT_BACKLOG: usize = 1 << 20;
 /// frame alone is larger (a pipelining client cannot balloon the
 /// decoder), and the most one readiness wake reads from one connection.
 const MAX_DECODER_BACKLOG: usize = 256 * 1024;
+/// Sweep period in milliseconds: the `epoll_wait` timeout, and the
+/// unit of the stall and idle clocks.
+const TICK_MS: u16 = 100;
+/// Sweep ticks an open but silent connection survives (~30 s).
+const IDLE_TICKS: u32 = 300;
 
 /// A request offloaded from the loop to an executor.
 pub(crate) struct Job {
@@ -169,7 +174,7 @@ fn stream_fd(stream: &TcpStream) -> i32 {
 
 #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
 fn listener_fd(_listener: &TcpListener) -> i32 {
-    -1 // unreachable in practice: Server::bind gates on sys::supported()
+    -1 // unreachable in practice: the stub `Poller::new` fails first
 }
 
 #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
@@ -191,8 +196,7 @@ pub(crate) fn event_loop(
     shared: &Shared,
 ) {
     let counters = Arc::clone(shared.store.service());
-    let tick = shared.config.io_timeout;
-    let tick_ms = i32::try_from(tick.as_millis()).unwrap_or(100).max(1);
+    let tick = Duration::from_millis(u64::from(TICK_MS));
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
@@ -215,7 +219,7 @@ pub(crate) fn event_loop(
 
         events.clear();
         counters.syscalls.fetch_add(1, Ordering::Relaxed);
-        if poller.wait(&mut events, tick_ms).is_err() {
+        if poller.wait(&mut events, i32::from(TICK_MS)).is_err() {
             return; // the epoll fd itself failed: unrecoverable
         }
 
@@ -251,7 +255,7 @@ pub(crate) fn event_loop(
 
         if last_sweep.elapsed() >= tick {
             last_sweep = Instant::now();
-            sweep(&mut conns, &mut free, poller, shared.config.idle_ticks);
+            sweep(&mut conns, &mut free, poller);
         }
     }
 }
@@ -494,7 +498,7 @@ fn drain_frames(
             Ok(Some(frame)) => frame,
             Ok(None) => break,
             // oversized or garbage length prefix: hard close with no
-            // response, exactly like the blocking engine's read_frame
+            // response, exactly like the blocking `read_frame`
             Err(_) => return false,
         };
         depth += 1;
@@ -534,8 +538,9 @@ fn drain_frames(
 
 /// Requests the loop may answer inline: always-cheap ones, plus any
 /// read whose topology has a fresh published bundle (the store's
-/// cache-hit path). The freshness peek touches no counters, so both
-/// engines observe identical store statistics on a replayed log.
+/// cache-hit path). The freshness peek touches no counters, so the
+/// loop leaves the same store statistics as direct `handle` calls on
+/// a replayed log.
 fn inline_response(store: &Store, req: &Request) -> Option<Response> {
     let fast = match req {
         Request::Ping | Request::List => true,
@@ -647,19 +652,14 @@ fn settle(c: &mut Conn, slot: usize, poller: &Poller, counters: &ServiceCounters
 }
 
 /// Ages every connection one tick; reaps mid-frame stalls fast
-/// (slow-loris defence) and idle or wedged peers after `idle_ticks`.
-fn sweep(
-    conns: &mut [Option<Conn>],
-    free: &mut Vec<usize>,
-    poller: &Poller,
-    idle_ticks: u32,
-) {
+/// (slow-loris defence) and idle or wedged peers after [`IDLE_TICKS`].
+fn sweep(conns: &mut [Option<Conn>], free: &mut Vec<usize>, poller: &Poller) {
     let mut victims = Vec::new();
     for (slot, entry) in conns.iter_mut().enumerate() {
         if let Some(c) = entry.as_mut() {
             c.ticks = c.ticks.saturating_add(1);
             let stalled_mid_frame = !c.in_flight && c.decoder.mid_frame() && c.ticks >= 2;
-            if stalled_mid_frame || c.ticks > idle_ticks {
+            if stalled_mid_frame || c.ticks > IDLE_TICKS {
                 victims.push(slot);
             }
         }
@@ -682,7 +682,6 @@ fn reap(conns: &mut [Option<Conn>], free: &mut Vec<usize>, poller: &Poller, slot
 mod tests {
     use super::*;
     use crate::protocol::MAX_FRAME_LEN;
-    use std::time::Duration;
 
     /// A loopback connection whose peer writes `prefix` and then
     /// `stream_len` bytes of body from its own thread (stopping quietly

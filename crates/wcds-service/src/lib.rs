@@ -18,11 +18,12 @@
 //!   never waiting on a repair — and a mutation that keeps every
 //!   dominator publishes a patched bundle in the same hold that
 //!   advances the epoch.
-//! * [`server`] — the TCP front end, with two engines behind one
-//!   handle: the default **readiness event loop** (epoll via raw
-//!   syscalls, nonblocking sockets, per-connection incremental framing,
-//!   request pipelining, write backpressure) and the legacy blocking
-//!   **worker pool**, kept as the byte-identical replay oracle.
+//! * [`server`] — the TCP front end: one **readiness event loop**
+//!   (epoll via raw syscalls, nonblocking sockets, per-connection
+//!   incremental framing, request pipelining, write backpressure) with
+//!   a small executor pool for mutations and cache rebuilds. It needs
+//!   x86_64 or aarch64 Linux; elsewhere [`Server::bind`] fails with
+//!   `Unsupported`.
 //! * [`client`] — a blocking client with one typed method per request,
 //!   plus a pipelined mode (send N frames, drain N responses in order).
 //!
@@ -43,7 +44,7 @@
 //! assert_eq!(path.first(), Some(&0));
 //! assert_eq!(path.last(), Some(&2));
 //! client.shutdown_server().unwrap();
-//! handle.join(); // returns once every worker thread has exited
+//! handle.join(); // returns once every server thread has exited
 //! ```
 
 pub mod client;
@@ -59,7 +60,7 @@ pub mod store;
 
 pub use client::{Client, ClientError};
 pub use protocol::{ErrorCode, Mutation, Request, Response, TopologyStats, WireError};
-pub use server::{Engine, Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig, ServerHandle};
 pub use store::{
     BroadcastOutcome, HardenOutcome, ResilientSummary, RouteOutcome, Store, StoreError,
 };

@@ -213,12 +213,12 @@ pub struct TopologyStats {
     /// the published bundle out of its slot.
     pub snapshot_reads: u64,
     /// Deepest request pipeline observed on one connection (complete
-    /// frames decoded from a single readiness wake). Engine
-    /// diagnostics: 0 under the worker-pool engine.
+    /// frames decoded from a single readiness wake). A loop
+    /// diagnostic: 0 on a store no server has served.
     pub pipeline_depth_max: u64,
-    /// Readiness-loop syscalls issued by the serving engine (epoll
-    /// waits + ctls, reads, writes, accepts). Engine diagnostics: 0
-    /// under the worker-pool engine.
+    /// Readiness-loop syscalls issued by the event loop (epoll waits +
+    /// ctls, reads, writes, accepts). A loop diagnostic: 0 on a store
+    /// no server has served.
     pub syscalls: u64,
 }
 
@@ -906,8 +906,8 @@ pub enum FrameRead {
 /// A timeout **between** frames comes back as
 /// [`FrameRead::IdleTimeout`] (safe to retry); a timeout **inside** a
 /// frame is an error, because the stream position is unknowable and
-/// the connection must be dropped — this is how a stalled client is
-/// prevented from wedging a server worker. EOF inside a frame is an
+/// the connection must be dropped — so a peer stalled mid-frame
+/// cannot wedge the reader. EOF inside a frame is an
 /// `UnexpectedEof` error; an oversized length prefix is `InvalidData`
 /// (wrapping [`WireError::FrameTooLarge`]) and is rejected before any
 /// allocation.

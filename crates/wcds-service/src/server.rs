@@ -1,8 +1,7 @@
-//! TCP front end with two serving engines behind one handle.
+//! TCP front end: one readiness event loop behind a handle.
 //!
-//! [`Engine::EventLoop`] (the default on supported targets) serves
-//! every connection from a single **readiness event loop**: epoll via
-//! the raw-syscall bindings in `sys`, nonblocking sockets, incremental
+//! A single loop thread serves every connection: epoll via the
+//! raw-syscall bindings in `sys`, nonblocking sockets, incremental
 //! per-connection framing, request pipelining, and write backpressure.
 //! Slow or stalled peers cost a slab slot, not a thread. Requests that
 //! can be answered from a fresh published bundle are handled inline
@@ -10,75 +9,39 @@
 //! offloaded to a small executor pool and the response is spliced back
 //! in request order. See `eventloop.rs` and DESIGN.md §8.
 //!
-//! [`Engine::WorkerPool`] is the original blocking thread-per-
-//! connection model, kept as the byte-identical replay oracle and as
-//! the fallback where the raw epoll bindings are unavailable:
+//! The readiness backend exists on x86_64 and aarch64 Linux only;
+//! elsewhere [`Server::bind`] fails with [`io::ErrorKind::Unsupported`].
 //!
-//! * the **acceptor** thread owns the listener and hands accepted
-//!   streams to a channel;
-//! * `workers` **worker** threads pull connections off the channel and
-//!   serve them to completion (a connection may carry any number of
-//!   request frames);
-//! * read/write **timeouts** bound every socket operation, so a stalled
-//!   client mid-frame is dropped instead of wedging its worker, and an
-//!   idle worker re-checks the shutdown flag every timeout tick.
+//! **Shutdown:** a [`Request::Shutdown`] frame or
+//! [`ServerHandle::shutdown`] flips a shared flag, nudges the parked
+//! loop awake with a loopback connection, and joins every thread; the
+//! listener closes when the loop thread returns.
 //!
-//! Both engines share **shutdown** semantics: a [`Request::Shutdown`]
-//! frame or [`ServerHandle::shutdown`] flips a shared flag, nudges the
-//! blocked acceptor (or parked event loop) awake with a loopback
-//! connection, and joins every thread; the listener closes when the
-//! serving thread returns. They also share `handle`, the pure
-//! request→response dispatcher, so a request log replayed through
-//! either engine produces byte-identical responses.
+//! Every request is answered through `handle`, the pure
+//! request→response dispatcher. The replay test below checks that the
+//! loop answers a request log byte-identically to calling `handle`
+//! serially in process.
 
-use crate::protocol::{
-    read_frame, write_frame, ErrorCode, FrameRead, Request, Response, WireError,
-};
+use crate::protocol::{ErrorCode, Request, Response, WireError};
 use crate::store::{BroadcastOutcome, RouteOutcome, Store, StoreError};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Which serving engine [`Server::bind`] starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Readiness-driven event loop (epoll, nonblocking sockets,
-    /// pipelining). The default; falls back to [`Engine::WorkerPool`]
-    /// on targets where the raw epoll bindings are unavailable.
-    #[default]
-    EventLoop,
-    /// Blocking thread-per-connection worker pool (the replay oracle).
-    WorkerPool,
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker-pool size (worker pool) or executor-pool size (event
-    /// loop: threads running offloaded mutations and cache rebuilds).
+    /// Executor-pool size: threads running offloaded mutations and
+    /// cache rebuilds.
     pub workers: usize,
-    /// Socket read/write timeout; also the shutdown-poll period and
-    /// the event loop's sweep tick.
-    pub io_timeout: Duration,
-    /// Consecutive idle timeout ticks before an open but silent
-    /// connection is dropped (frees its worker for queued peers).
-    pub idle_ticks: u32,
-    /// Serving engine.
-    pub engine: Engine,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        Self {
-            workers: 4,
-            io_timeout: Duration::from_millis(100),
-            idle_ticks: 300,
-            engine: Engine::EventLoop,
-        }
+        Self { workers: 4 }
     }
 }
 
@@ -91,13 +54,11 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Flips the flag and nudges the blocked acceptor (or parked event
-    /// loop) awake.
+    /// Flips the flag and nudges the parked event loop awake.
     pub(crate) fn trigger_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // a throwaway loopback connection unblocks `accept()` (worker
-        // pool) or creates listener readiness (event loop); if it fails
-        // the serving thread still exits on its next timeout tick
+        // a throwaway loopback connection creates listener readiness;
+        // if it fails the loop still exits on its next sweep tick
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
     }
 }
@@ -106,20 +67,22 @@ impl Shared {
 /// the join point proving every thread exited.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    event_loop: Option<JoinHandle<()>>,
+    executors: Vec<JoinHandle<()>>,
 }
 
 /// The backbone service.
 pub struct Server;
 
 impl Server {
-    /// Binds `addr` (port 0 picks a free port) and starts the serving
-    /// threads for the configured [`Engine`] over `store`.
+    /// Binds `addr` (port 0 picks a free port) and starts the event
+    /// loop and its executor pool over `store`.
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind and thread-spawn failures. On a target without
+    /// the raw-syscall readiness backend (anything but x86_64 or
+    /// aarch64 Linux) it fails with [`io::ErrorKind::Unsupported`].
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         store: Store,
@@ -131,43 +94,11 @@ impl Server {
             store,
             shutdown: AtomicBool::new(false),
             addr: local,
-            config: config.clone(),
+            config,
             served: AtomicU64::new(0),
         });
-
-        if config.engine == Engine::EventLoop && crate::sys::supported() {
-            let (event_loop, executors) =
-                crate::eventloop::spawn(listener, Arc::clone(&shared))?;
-            return Ok(ServerHandle {
-                shared,
-                acceptor: Some(event_loop),
-                workers: executors,
-            });
-        }
-
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-
-        // a failed spawn propagates as io::Error; the threads already
-        // running exit on their own once `tx` drops with this frame
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("wcds-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &shared))
-            })
-            .collect::<io::Result<Vec<JoinHandle<()>>>>()?;
-
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("wcds-acceptor".into())
-                .spawn(move || acceptor_loop(&listener, &tx, &shared))?
-        };
-
-        Ok(ServerHandle { shared, acceptor: Some(acceptor), workers })
+        let (event_loop, executors) = crate::eventloop::spawn(listener, Arc::clone(&shared))?;
+        Ok(ServerHandle { shared, event_loop: Some(event_loop), executors })
     }
 }
 
@@ -210,11 +141,11 @@ impl ServerHandle {
     }
 
     fn join_threads(&mut self) {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+        if let Some(l) = self.event_loop.take() {
+            let _ = l.join();
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        for e in self.executors.drain(..) {
+            let _ = e.join();
         }
     }
 }
@@ -230,97 +161,6 @@ impl Drop for ServerHandle {
     }
 }
 
-fn acceptor_loop(listener: &TcpListener, tx: &mpsc::Sender<TcpStream>, shared: &Shared) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break; // the nudge connection, or a late arrival
-                }
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-    // tx drops here: workers drain the queue and exit
-}
-
-fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>, shared: &Shared) {
-    loop {
-        let stream = {
-            // a poisoned queue mutex means a sibling worker panicked
-            // while *receiving*; the receiver itself is still sound, so
-            // keep serving rather than killing the whole pool
-            let guard = match rx.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            // analyze: allow(hold-across-io, "the queue mutex exists only to share this receiver; waiting on it IS the guarded operation, and the bounded timeout re-opens the race window every io_timeout")
-            match guard.recv_timeout(shared.config.io_timeout) {
-                Ok(s) => Some(s),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        };
-        match stream {
-            Some(s) => serve_connection(s, shared),
-            None if shared.shutdown.load(Ordering::SeqCst) => break,
-            None => {}
-        }
-    }
-}
-
-fn serve_connection(stream: TcpStream, shared: &Shared) {
-    let timeout = shared.config.io_timeout;
-    if stream.set_read_timeout(Some(timeout)).is_err()
-        || stream.set_write_timeout(Some(timeout)).is_err()
-        || stream.set_nodelay(true).is_err()
-    {
-        return;
-    }
-    // buffered reads pull a frame's length prefix and body out of one
-    // syscall; writes go straight to the (NODELAY) socket
-    let mut reader = io::BufReader::with_capacity(4096, &stream);
-    let mut writer = &stream;
-    let mut idle: u32 = 0;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let frame = match read_frame(&mut reader) {
-            Ok(FrameRead::Frame(frame)) => frame,
-            Ok(FrameRead::Eof) => return, // clean EOF between frames
-            Ok(FrameRead::IdleTimeout) => {
-                idle += 1;
-                if idle > shared.config.idle_ticks {
-                    return; // silent connection: free the worker
-                }
-                continue;
-            }
-            Err(_) => return, // stalled mid-frame, reset, or garbage
-        };
-        idle = 0;
-        shared.served.fetch_add(1, Ordering::Relaxed);
-        let (response, close) = match Request::decode(&frame) {
-            Ok(Request::Shutdown) => {
-                shared.trigger_shutdown();
-                (Response::ShuttingDown, true)
-            }
-            Ok(req) => (handle(&shared.store, &req), false),
-            Err(e) => (wire_error_response(&e), true),
-        };
-        if write_frame(&mut writer, &response.encode()).is_err() {
-            return; // peer gone or write stalled
-        }
-        if close {
-            return;
-        }
-    }
-}
-
 pub(crate) fn wire_error_response(e: &WireError) -> Response {
     Response::Error { code: ErrorCode::BadPayload, message: format!("malformed request: {e}") }
 }
@@ -332,9 +172,10 @@ impl From<StoreError> for Response {
 }
 
 /// Executes one decoded request against the store. Pure
-/// request→response; all transport concerns live in the caller. Both
-/// engines dispatch through this one function, which is what makes
-/// their responses byte-identical on a replayed request log.
+/// request→response; all transport concerns live in the caller. The
+/// event loop and its executors dispatch every request through this
+/// one function, so a serial in-process call sequence is the loop's
+/// replay oracle.
 pub(crate) fn handle(store: &Store, req: &Request) -> Response {
     match req {
         Request::Ping => Response::Pong,
@@ -416,6 +257,116 @@ pub(crate) fn handle(store: &Store, req: &Request) -> Response {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::protocol::{read_frame, write_frame, FrameRead, Mutation};
+    use crate::store::UDG_RADIUS;
+    use wcds_geom::deploy;
+    use wcds_graph::UnitDiskGraph;
+
+    fn payload(n: usize, side: f64, seed: u64) -> String {
+        let udg = UnitDiskGraph::build(deploy::uniform(n, side, side, seed), UDG_RADIUS);
+        wcds_graph::io::to_text(udg.graph(), Some(udg.points()))
+    }
+
+    /// A deterministic request log walking the whole API, including typed
+    /// failures: exactly what a client session might replay for audit.
+    fn replay_log() -> Vec<Request> {
+        let name = "net".to_string();
+        let mut log = vec![
+            Request::Ping,
+            Request::Create { name: name.clone(), payload: payload(70, 4.0, 21) },
+            Request::Create { name: name.clone(), payload: payload(70, 4.0, 21) }, // AlreadyExists
+            Request::Construct { name: name.clone() },
+            Request::Route { name: name.clone(), from: 0, to: 69 },
+            Request::Broadcast { name: name.clone(), source: 0 },
+            Request::Stats { name: name.clone() },
+            Request::Mutate { name: name.clone(), mutation: Mutation::Join { x: 2.0, y: 2.0 } },
+            Request::Stats { name: name.clone() },
+            Request::Route { name: name.clone(), from: 0, to: 70 },
+            Request::Harden { name: name.clone(), k: 2, m: 2 },
+            Request::Stats { name: name.clone() },
+            Request::MutateBatch {
+                name: name.clone(),
+                mutations: vec![
+                    Mutation::Move { node: 3, x: 2.0, y: 2.0 },
+                    Mutation::Move { node: 7, x: 2.1, y: 2.1 },
+                    Mutation::Join { x: 0.5, y: 3.5 },
+                ],
+            },
+            Request::Stats { name: name.clone() },
+            Request::Export { name: name.clone() },
+            Request::List,
+            Request::Route { name: "ghost".to_string(), from: 0, to: 1 }, // NotFound
+            Request::Route { name: name.clone(), from: 0, to: 9_999 },    // OutOfRange
+        ];
+        // a read burst at the end: the loop answers these inline from
+        // the published slot, and each load must count in
+        // `snapshot_reads` exactly as the direct `handle` call does
+        for k in 1..8 {
+            log.push(Request::Route { name: name.clone(), from: 0, to: k });
+        }
+        log.push(Request::Stats { name });
+        log
+    }
+
+    /// Serially replays `log` over one raw TCP connection to an
+    /// event-loop server, returning every response frame's bytes.
+    fn replay_over_tcp(log: &[Request]) -> Vec<Vec<u8>> {
+        let server = Server::bind("127.0.0.1:0", Store::new(), ServerConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let frames = log
+            .iter()
+            .map(|req| {
+                write_frame(&mut stream, &req.encode()).unwrap();
+                match read_frame(&mut stream).unwrap() {
+                    FrameRead::Frame(body) => body,
+                    other => panic!("replay expected a response frame, got {other:?}"),
+                }
+            })
+            .collect();
+        drop(stream);
+        server.shutdown();
+        frames
+    }
+
+    /// Zeroes the loop-diagnostic counters inside a `StatsOk` frame;
+    /// every other frame (and every other `StatsOk` field, including
+    /// `snapshot_reads`) passes through byte-for-byte.
+    fn normalize(raw: &[u8]) -> Vec<u8> {
+        match Response::decode(raw) {
+            Ok(Response::StatsOk(mut stats)) => {
+                stats.syscalls = 0;
+                stats.pipeline_depth_max = 0;
+                Response::StatsOk(stats).encode()
+            }
+            _ => raw.to_vec(),
+        }
+    }
+
+    /// The replay oracle: the event loop (inline fast path, executor
+    /// offload, framing) answers a serial replay of one request log
+    /// byte-identically to calling `handle` on a fresh store, one
+    /// request at a time. Only the two loop-diagnostic counters in
+    /// `StatsOk` are zeroed on both sides before the comparison.
+    #[test]
+    fn the_event_loop_answers_a_serial_replay_like_in_process_handle() {
+        let log = replay_log();
+        let store = Store::new();
+        let direct: Vec<Vec<u8>> = log.iter().map(|req| handle(&store, req).encode()).collect();
+        let served = replay_over_tcp(&log);
+        assert_eq!(direct.len(), served.len());
+        for (i, (a, b)) in direct.iter().zip(&served).enumerate() {
+            assert_eq!(
+                normalize(a),
+                normalize(b),
+                "response {i} to {:?} diverged:\n  handle: {:?}\n  served: {:?}",
+                log.get(i),
+                Response::decode(a),
+                Response::decode(b),
+            );
+        }
+    }
 
     #[test]
     fn handle_is_pure_request_to_response() {

@@ -97,14 +97,14 @@ pub struct Bundle {
     /// Epoch of the topology snapshot this bundle was built from.
     pub epoch: u64,
     /// The exact graph snapshot the bundle was built from (same
-    /// epoch). When the bundle is fresh this *is* the live graph, so
-    /// broadcast/stats can serve from it without touching the topology
-    /// lock.
+    /// epoch), shared with the router. When the bundle is fresh this
+    /// *is* the live graph, so broadcast/stats can serve from it
+    /// without touching the topology lock.
     pub graph: Arc<Graph>,
     /// The WCDS (Algorithm II construction, maintained under mutation).
     pub wcds: Wcds,
-    /// The weakly-induced spanner.
-    pub spanner: Graph,
+    /// The weakly-induced spanner (the router's own, shared).
+    pub spanner: Arc<Graph>,
     /// Clusterhead routing tables over the spanner.
     pub router: BackboneRouter,
     /// Whether a broadcast plan exists at this epoch (the topology is
@@ -227,13 +227,12 @@ fn build_artifacts(g: &Graph, source: &ArtifactSource, epoch: u64) -> Arc<Bundle
         }
     };
     let router = BackboneRouter::build(g, &wcds);
-    let spanner = router.spanner().clone();
     let broadcastable = traversal::is_connected(g) && wcds.is_valid(g);
     Arc::new(Bundle {
         epoch,
-        graph: Arc::new(g.clone()),
+        graph: Arc::clone(router.graph()),
         wcds,
-        spanner,
+        spanner: Arc::clone(router.spanner()),
         router,
         broadcastable,
         resilient,
@@ -329,8 +328,8 @@ impl Entry {
 
     /// Clones the published bundle out of its slot, counting the load.
     /// Every serving path goes through here, so the `snapshot_reads`
-    /// statistic is engine-independent (both the worker pool and the
-    /// event loop execute this same code). The slot only ever holds a
+    /// statistic is the same whether a request arrives over the event
+    /// loop or through a direct `handle` call. The slot only ever holds a
     /// whole `Option<Arc<Bundle>>`, so a poisoned guard is still sound
     /// to read.
     fn load_published(&self) -> Option<Arc<Bundle>> {
@@ -538,13 +537,12 @@ fn segments(mutations: &[Mutation]) -> Vec<&[Mutation]> {
 fn patch_bundle(g: &Graph, prior: &Bundle, report: &RepairReport, epoch: u64) -> Arc<Bundle> {
     let wcds = prior.wcds.clone();
     let router = prior.router.patched(g, &wcds, &report.edges_added, &report.edges_removed);
-    let spanner = router.spanner().clone();
     let broadcastable = traversal::is_connected(g) && wcds.is_valid(g);
     Arc::new(Bundle {
         epoch,
-        graph: Arc::new(g.clone()),
+        graph: Arc::clone(router.graph()),
         wcds,
-        spanner,
+        spanner: Arc::clone(router.spanner()),
         router,
         broadcastable,
         resilient: None,
@@ -819,14 +817,14 @@ fn broadcast_from(bundle: &Bundle, source: NodeId) -> Result<BroadcastOutcome, S
     }
 }
 
-/// Serving-engine diagnostics, shared across every clone of one store
-/// lineage and reported through `stats` (engine-level, not
-/// per-topology). The readiness event loop writes these; the
-/// worker-pool engine leaves them at zero.
+/// Event-loop diagnostics, shared across every clone of one store
+/// lineage and reported through `stats` (server-level, not
+/// per-topology). Only the readiness event loop writes these; a store
+/// no server has served reports them as zero.
 #[derive(Debug, Default)]
 pub struct ServiceCounters {
-    /// Readiness-loop syscalls issued by the serving engine (epoll
-    /// waits + ctls, reads, writes, accepts, waker nudges).
+    /// Readiness-loop syscalls issued by the event loop (epoll waits +
+    /// ctls, reads, writes, accepts, waker nudges).
     pub syscalls: AtomicU64,
     /// Deepest request pipeline observed on one connection: complete
     /// frames decoded from a single readiness wake.
@@ -1470,8 +1468,14 @@ mod tests {
             let g = oracle.graph();
             let wcds = oracle.wcds();
             assert_eq!(bundle.wcds, wcds, "move {u}: WCDS diverged");
-            assert_eq!(bundle.spanner, wcds.weakly_induced_subgraph(g), "move {u}: spanner");
+            assert_eq!(*bundle.spanner, wcds.weakly_induced_subgraph(g), "move {u}: spanner");
             assert_eq!(bundle.router, BackboneRouter::build(g, &wcds), "move {u}: router");
+            // one graph and one spanner per bundle, shared with its router
+            assert!(Arc::ptr_eq(&bundle.graph, bundle.router.graph()), "move {u}: graph copied");
+            assert!(
+                Arc::ptr_eq(&bundle.spanner, bundle.router.spanner()),
+                "move {u}: spanner copied"
+            );
             let fresh_plan = (traversal::is_connected(g) && wcds.is_valid(g))
                 .then(|| BroadcastPlan::for_wcds(g, &wcds));
             assert_eq!(bundle.plan(), fresh_plan.as_ref(), "move {u}: broadcast plan");
@@ -1616,6 +1620,8 @@ mod tests {
 
         // kill a dominator: move it out of radio range of everyone
         let (bundle, _) = store.bundle("net").unwrap();
+        assert!(Arc::ptr_eq(&bundle.graph, bundle.router.graph()), "graph copied");
+        assert!(Arc::ptr_eq(&bundle.spanner, bundle.router.spanner()), "spanner copied");
         let dead = bundle.wcds.mis_dominators()[0];
         store
             .mutate("net", &Mutation::Move { node: dead, x: 1000.0, y: 1000.0 })

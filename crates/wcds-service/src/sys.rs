@@ -2,14 +2,14 @@
 //! syscalls.
 //!
 //! The service crate links no FFI (DESIGN.md §7: `std::net` +
-//! `std::thread` only), so the event-loop engine cannot use `libc`.
+//! `std::thread` only), so the event loop cannot use `libc`.
 //! This module issues the four syscalls the readiness loop needs —
 //! `epoll_create1`, `epoll_ctl`, `epoll_wait` (`epoll_pwait` on
 //! aarch64), `eventfd2` — plus `read`/`write`/`close` on the waker fd,
 //! directly through inline `asm!`, on `x86_64` and `aarch64` Linux.
-//! On any other target [`supported`] reports `false` and the server
-//! falls back to the worker-pool engine; no stub poller pretends to
-//! provide readiness it cannot.
+//! On any other target the stub [`Poller`] and [`Waker`] constructors
+//! fail with `io::ErrorKind::Unsupported`, so `Server::bind` does too;
+//! no stub pretends to provide readiness it cannot.
 //!
 //! Everything here is level-triggered: the loop re-arms interest via
 //! [`Poller::modify`] when it starts or stops caring about
@@ -24,11 +24,6 @@
 #![cfg_attr(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))), allow(dead_code))]
 
 use std::io;
-
-/// Whether the raw-syscall readiness backend exists on this target.
-pub const fn supported() -> bool {
-    cfg!(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))
-}
 
 /// One readiness event, decoded from the kernel's `epoll_event`.
 #[derive(Debug, Clone, Copy)]
@@ -376,13 +371,12 @@ mod imp {
     fn unsupported() -> io::Error {
         io::Error::new(
             io::ErrorKind::Unsupported,
-            "readiness backend needs x86_64/aarch64 Linux; use Engine::WorkerPool",
+            "the readiness backend needs x86_64 or aarch64 Linux",
         )
     }
 
     /// Stub poller for targets without the raw-syscall backend: every
-    /// constructor fails with `Unsupported`, and `Server::bind` routes
-    /// the event-loop engine to the worker pool instead.
+    /// constructor fails with `Unsupported`, and so does `Server::bind`.
     #[derive(Debug)]
     pub struct Poller {}
 
@@ -428,16 +422,13 @@ mod imp {
 
 pub use imp::{Poller, Waker};
 
-#[cfg(test)]
+#[cfg(all(test, target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
     #[test]
     fn poller_reports_eventfd_readability() {
-        if !supported() {
-            return;
-        }
         let poller = Poller::new().unwrap();
         let waker = Waker::new().unwrap();
         poller.add(waker.fd(), 42, true, false).unwrap();

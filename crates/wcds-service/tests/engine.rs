@@ -1,14 +1,11 @@
-//! Event-loop engine acceptance tests: byte-identical replay against
-//! the worker-pool oracle, pipelined in-order responses, slow-loris
-//! isolation, a frame larger than the decoder's run-ahead cap, an
-//! oversized length prefix closed while others are served, and a
-//! dominator kill storm served entirely over TCP.
+//! Event-loop acceptance tests over real sockets: pipelined in-order
+//! responses, slow-loris isolation, a frame larger than the decoder's
+//! run-ahead cap, an oversized length prefix closed while others are
+//! served, and a dominator kill storm served entirely over TCP.
 //!
-//! The worker-pool engine is the semantic oracle: both engines funnel
-//! every request through the same `handle` dispatcher, so a serial
-//! replay of one request log must produce byte-identical response
-//! frames — the only permitted divergence is the engine-diagnostic
-//! counters (`syscalls`, `pipeline_depth_max`) inside `StatsOk`.
+//! The replay oracle — the loop answers a serial request log
+//! byte-identically to calling the `handle` dispatcher in process —
+//! sits beside `handle` in `src/server.rs`'s unit tests.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -19,114 +16,15 @@ use std::time::{Duration, Instant};
 use wcds_geom::deploy;
 use wcds_graph::{io, UnitDiskGraph};
 use wcds_rng::{ChaCha12Rng, Rng};
-use wcds_service::protocol::{
-    read_frame, write_frame, FrameRead, Request, Response, MAX_FRAME_LEN,
-};
+use wcds_service::protocol::{Request, Response, MAX_FRAME_LEN};
 use wcds_service::store::UDG_RADIUS;
 use wcds_service::{
-    BroadcastOutcome, Client, Engine, Mutation, RouteOutcome, Server, ServerConfig, Store,
+    BroadcastOutcome, Client, Mutation, RouteOutcome, Server, ServerConfig, Store,
 };
 
 fn payload(n: usize, side: f64, seed: u64) -> String {
     let udg = UnitDiskGraph::build(deploy::uniform(n, side, side, seed), UDG_RADIUS);
     io::to_text(udg.graph(), Some(udg.points()))
-}
-
-/// A deterministic request log walking the whole API, including typed
-/// failures: exactly what a client session might replay for audit.
-fn replay_log() -> Vec<Request> {
-    let name = "net".to_string();
-    let mut log = vec![
-        Request::Ping,
-        Request::Create { name: name.clone(), payload: payload(70, 4.0, 21) },
-        Request::Create { name: name.clone(), payload: payload(70, 4.0, 21) }, // AlreadyExists
-        Request::Construct { name: name.clone() },
-        Request::Route { name: name.clone(), from: 0, to: 69 },
-        Request::Broadcast { name: name.clone(), source: 0 },
-        Request::Stats { name: name.clone() },
-        Request::Mutate { name: name.clone(), mutation: Mutation::Join { x: 2.0, y: 2.0 } },
-        Request::Stats { name: name.clone() },
-        Request::Route { name: name.clone(), from: 0, to: 70 },
-        Request::Harden { name: name.clone(), k: 2, m: 2 },
-        Request::Stats { name: name.clone() },
-        Request::MutateBatch {
-            name: name.clone(),
-            mutations: vec![
-                Mutation::Move { node: 3, x: 2.0, y: 2.0 },
-                Mutation::Move { node: 7, x: 2.1, y: 2.1 },
-                Mutation::Join { x: 0.5, y: 3.5 },
-            ],
-        },
-        Request::Stats { name: name.clone() },
-        Request::Export { name: name.clone() },
-        Request::List,
-        Request::Route { name: "ghost".to_string(), from: 0, to: 1 }, // NotFound
-        Request::Route { name: name.clone(), from: 0, to: 9_999 },    // OutOfRange
-    ];
-    // a read burst at the end: cache hits load the published slot on
-    // both engines, so `snapshot_reads` must advance in lockstep
-    for k in 1..8 {
-        log.push(Request::Route { name: name.clone(), from: 0, to: k });
-    }
-    log.push(Request::Stats { name });
-    log
-}
-
-/// Serially replays `log` over one raw TCP connection against a server
-/// running `engine`, returning every response frame's bytes.
-fn replay(engine: Engine, log: &[Request]) -> Vec<Vec<u8>> {
-    let config = ServerConfig { engine, ..ServerConfig::default() };
-    let handle = Server::bind("127.0.0.1:0", Store::new(), config).unwrap();
-    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    stream.set_nodelay(true).unwrap();
-    let mut frames = Vec::with_capacity(log.len());
-    for req in log {
-        write_frame(&mut stream, &req.encode()).unwrap();
-        match read_frame(&mut stream).unwrap() {
-            FrameRead::Frame(body) => frames.push(body),
-            other => panic!("replay expected a response frame, got {other:?}"),
-        }
-    }
-    drop(stream);
-    handle.shutdown();
-    frames
-}
-
-/// Zeroes the engine-diagnostic counters inside a `StatsOk` frame;
-/// every other frame (and every other `StatsOk` field, including
-/// `snapshot_reads`) passes through byte-for-byte.
-fn normalize(raw: &[u8]) -> Vec<u8> {
-    match Response::decode(raw) {
-        Ok(Response::StatsOk(mut stats)) => {
-            stats.syscalls = 0;
-            stats.pipeline_depth_max = 0;
-            Response::StatsOk(stats).encode()
-        }
-        _ => raw.to_vec(),
-    }
-}
-
-/// Acceptance: the two engines answer a serial replay of the same
-/// request log byte-identically (modulo the two engine-diagnostic
-/// counters in `StatsOk`, which are zeroed on both sides before the
-/// comparison — `snapshot_reads` is compared raw).
-#[test]
-fn engines_answer_a_serial_replay_byte_identically() {
-    let log = replay_log();
-    let pool = replay(Engine::WorkerPool, &log);
-    let evented = replay(Engine::EventLoop, &log);
-    assert_eq!(pool.len(), evented.len());
-    for (i, (a, b)) in pool.iter().zip(&evented).enumerate() {
-        assert_eq!(
-            normalize(a),
-            normalize(b),
-            "response {i} to {:?} diverged between engines:\n  pool:  {:?}\n  event: {:?}",
-            log.get(i),
-            Response::decode(a),
-            Response::decode(b),
-        );
-    }
 }
 
 /// Pipelining property: send a burst of requests with pairwise-distinct
@@ -180,10 +78,8 @@ fn pipelined_responses_arrive_in_request_order() {
 
 /// Slow-loris isolation: a peer that sends half a frame and stalls must
 /// not degrade anyone else's latency — and the stall sweep must drop it
-/// instead of letting it hold its slot forever. Under the old
-/// thread-per-connection engine a stalled peer pinned a worker thread
-/// for the whole idle window; under the event loop it costs one slab
-/// slot and two sweep ticks.
+/// instead of letting it hold its slot forever. A stalled peer costs
+/// one slab slot and two sweep ticks, never a thread.
 #[test]
 fn a_stalled_mid_frame_peer_is_dropped_and_does_not_slow_others() {
     use std::io::{Read as _, Write as _};
@@ -216,7 +112,7 @@ fn a_stalled_mid_frame_peer_is_dropped_and_does_not_slow_others() {
         "a stalled peer degraded a healthy client's worst-case latency to {worst:?}"
     );
 
-    // the sweep drops a mid-frame staller after ~2 io_timeout ticks;
+    // the sweep drops a mid-frame staller after ~2 sweep ticks;
     // observing EOF on the loris socket proves the reap
     loris.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut buf = [0u8; 16];

@@ -190,8 +190,9 @@ fn stress_mixed_readers_and_mutators_match_serial_replay() {
     const CLIENTS: usize = 8;
     const OPS_PER_CLIENT: usize = 40;
 
-    // workers ≥ client threads, so no client waits on a busy pool
-    let config = ServerConfig { workers: CLIENTS + 2, ..ServerConfig::default() };
+    // an executor per client (plus spares), so no offloaded request
+    // queues behind another client's
+    let config = ServerConfig { workers: CLIENTS + 2 };
     let handle = Server::bind("127.0.0.1:0", Store::new(), config).unwrap();
     let addr = handle.local_addr();
 

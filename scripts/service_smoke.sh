@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Service smoke test: start `wcds serve` on loopback, drive a scripted
 # ingest → broadcast → construct → route → mutate → route → broadcast →
-# stats → shutdown session through `wcds query`, and require a clean
-# server exit. Each broadcast must print its exact expected line. The
-# session runs once per serving engine — the readiness event loop
-# (default) and the worker-pool oracle — and the event-loop leg also
-# exercises the pipelined client (`--repeat N --pipeline`).
+# stats → pipelined route burst (`--repeat N --pipeline`) → harden →
+# broadcast → crash a node → degraded broadcast → shutdown session
+# through `wcds query`, and require a clean server exit. Each broadcast must print its exact
+# expected line.
 #
 # Usage: scripts/service_smoke.sh [--features rayon]
 # Extra arguments are passed to every `cargo run` (so the smoke runs
-# identically with and without the parallel engine).
+# identically with and without the parallel engine). Set
+# WCDS_SMOKE_PORT to move the server off the default port 7741.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,9 +40,9 @@ broadcast() {
 }
 
 session() {
-  local engine="$1" addr="$2"
+  local addr="$1"
 
-  wcds serve --addr "${addr}" --workers 4 --engine "${engine}" &
+  wcds serve --addr "${addr}" --workers 4 &
   SERVER_PID=$!
 
   # wait for the listener
@@ -63,11 +63,9 @@ session() {
   broadcast "${addr}" 60 "broadcast from 60: 34 forwarders, 61 informed"
   wcds query stats     --addr "${addr}" --name net
 
-  if [ "${engine}" = "event-loop" ]; then
-    # pipelined burst: 32 routes in one write, drained in order
-    wcds query route --addr "${addr}" --name net --from 0 --to 59 \
-      --repeat 32 --pipeline
-  fi
+  # pipelined burst: 32 routes in one write, drained in order
+  wcds query route --addr "${addr}" --name net --from 0 --to 59 \
+    --repeat 32 --pipeline
 
   # failure-storm smoke: harden to a (2,2)-resilient backbone, park a
   # node out of radio range (a crash through the mutation API), and
@@ -86,8 +84,7 @@ session() {
   # worker leaked; a hang here fails CI via the step timeout)
   wait "${SERVER_PID}"
   SERVER_PID=""
-  echo "service smoke OK (${engine}, ${CARGO_FLAGS[*]:-serial})"
+  echo "service smoke OK (${CARGO_FLAGS[*]:-serial})"
 }
 
-session event-loop  "127.0.0.1:${PORT}"
-session worker-pool "127.0.0.1:$((PORT + 1))"
+session "127.0.0.1:${PORT}"
