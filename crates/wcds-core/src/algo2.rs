@@ -155,7 +155,6 @@ pub mod distributed {
     //! coordination of any kind.
 
     use super::*;
-    use std::collections::BTreeMap;
     use wcds_sim::{Context, ProcId, Protocol, Schedule, SimReport, Simulator};
 
     /// Node color in the distributed protocol.
@@ -209,24 +208,60 @@ pub mod distributed {
         },
     }
 
+    /// Neighbor-position flag: the neighbor announced `MIS-DOMINATOR`
+    /// or `GRAY`.
+    const DECIDED: u8 = 1;
+    /// Neighbor-position flag: the neighbor announced `GRAY`.
+    const GRAY: u8 = 2;
+    /// Neighbor-position flag: the neighbor's `1-HOP-DOMINATORS` list
+    /// arrived.
+    const LIST: u8 = 4;
+
     /// Per-node state of the distributed Algorithm II.
+    ///
+    /// What a node knows of each neighbor is one flag byte at the
+    /// neighbor's position in [`Context::neighbors`], plus counts of the
+    /// flags set, so every rule is a count comparison. The dominator
+    /// lists are `Vec`s sorted by dominator id.
     #[derive(Debug)]
     pub struct Algo2Node {
         color: NodeColor,
-        /// Neighbors that announced `MIS-DOMINATOR` or `GRAY`.
-        decided: BTreeSet<ProcId>,
-        /// Neighbors known to be gray.
-        gray_neighbors: BTreeSet<ProcId>,
+        /// `DECIDED | GRAY | LIST` per neighbor position, sized from
+        /// the degree on first use.
+        flags: Vec<u8>,
+        /// Neighbors flagged `DECIDED`.
+        decided: usize,
+        /// Neighbors flagged `GRAY`.
+        gray: usize,
+        /// Neighbors flagged both `GRAY` and `LIST`.
+        gray_with_list: usize,
         /// Gray nodes and dominators: adjacent dominators.
-        one_hop_doms: BTreeSet<ProcId>,
-        /// Dominator id → intermediate neighbor to reach it in 2 hops.
-        two_hop_doms: BTreeMap<ProcId, ProcId>,
-        /// MIS dominators only: far dominator id → `(v, x)` bridge path.
-        three_hop_doms: BTreeMap<ProcId, (ProcId, ProcId)>,
-        /// Gray neighbors whose `1-HOP-DOMINATORS` list arrived.
-        one_hop_lists_from: BTreeSet<ProcId>,
+        one_hop_doms: Vec<ProcId>,
+        /// `(dominator, intermediate neighbor to reach it in 2 hops)`.
+        two_hop_doms: Vec<(ProcId, ProcId)>,
+        /// MIS dominators only: `(far dominator, (v, x) bridge path)`.
+        three_hop_doms: Vec<(ProcId, (ProcId, ProcId))>,
         sent_one_hop: bool,
         sent_two_hop: bool,
+    }
+
+    /// Whether the list sorted by its first field has an entry for `d`.
+    fn has_key<T>(list: &[(ProcId, T)], d: ProcId) -> bool {
+        list.binary_search_by_key(&d, |e| e.0).is_ok()
+    }
+
+    /// Inserts `(d, value)` unless the list already has an entry for `d`.
+    fn insert_new<T>(list: &mut Vec<(ProcId, T)>, d: ProcId, value: T) {
+        if let Err(at) = list.binary_search_by_key(&d, |e| e.0) {
+            list.insert(at, (d, value));
+        }
+    }
+
+    /// Removes the entry for `d`, if any.
+    fn remove_key<T>(list: &mut Vec<(ProcId, T)>, d: ProcId) {
+        if let Ok(at) = list.binary_search_by_key(&d, |e| e.0) {
+            list.remove(at);
+        }
     }
 
     impl Algo2Node {
@@ -234,12 +269,13 @@ pub mod distributed {
         pub fn new() -> Self {
             Self {
                 color: NodeColor::White,
-                decided: BTreeSet::new(),
-                gray_neighbors: BTreeSet::new(),
-                one_hop_doms: BTreeSet::new(),
-                two_hop_doms: BTreeMap::new(),
-                three_hop_doms: BTreeMap::new(),
-                one_hop_lists_from: BTreeSet::new(),
+                flags: Vec::new(),
+                decided: 0,
+                gray: 0,
+                gray_with_list: 0,
+                one_hop_doms: Vec::new(),
+                two_hop_doms: Vec::new(),
+                three_hop_doms: Vec::new(),
                 sent_one_hop: false,
                 sent_two_hop: false,
             }
@@ -262,13 +298,40 @@ pub mod distributed {
 
         /// `(dominator, intermediate)` entries of the 2-hop list.
         pub fn two_hop_doms(&self) -> impl Iterator<Item = (ProcId, ProcId)> + '_ {
-            self.two_hop_doms.iter().map(|(&d, &v)| (d, v))
+            self.two_hop_doms.iter().copied()
         }
 
         /// `(dominator, (v, x))` entries of the 3-hop list (MIS
         /// dominators only).
         pub fn three_hop_doms(&self) -> impl Iterator<Item = (ProcId, (ProcId, ProcId))> + '_ {
-            self.three_hop_doms.iter().map(|(&d, &vx)| (d, vx))
+            self.three_hop_doms.iter().copied()
+        }
+
+        /// Sets `flag` for neighbor `from` and keeps the counts; a
+        /// repeated flag (a duplicated delivery) changes nothing.
+        fn flag(&mut self, ctx: &Context<'_, Algo2Msg>, from: ProcId, flag: u8) {
+            if self.flags.len() < ctx.degree() {
+                self.flags.resize(ctx.degree(), 0);
+            }
+            let Ok(at) = ctx.neighbors().binary_search(&from) else {
+                return;
+            };
+            let Some(slot) = self.flags.get_mut(at) else {
+                return;
+            };
+            let old = *slot;
+            let new = old | flag;
+            *slot = new;
+            if old & DECIDED == 0 && new & DECIDED != 0 {
+                self.decided += 1;
+            }
+            if old & GRAY == 0 && new & GRAY != 0 {
+                self.gray += 1;
+            }
+            let both = GRAY | LIST;
+            if old & both != both && new & both == both {
+                self.gray_with_list += 1;
+            }
         }
 
         /// MIS rule: a white node with the lowest ID among its white
@@ -277,12 +340,10 @@ pub mod distributed {
             if self.color != NodeColor::White {
                 return;
             }
-            let me = ctx.id();
-            let all_lower_are_gray = ctx
-                .neighbors()
-                .iter()
-                .filter(|&&p| p < me)
-                .all(|p| self.gray_neighbors.contains(p));
+            // neighbors are sorted, so the lower ids are a prefix
+            let lower = ctx.neighbors().partition_point(|&p| p < ctx.id());
+            let all_lower_are_gray = lower == 0
+                || self.flags.get(..lower).is_some_and(|f| f.iter().all(|&f| f & GRAY != 0));
             if all_lower_are_gray {
                 self.color = NodeColor::MisDominator;
                 ctx.broadcast(Algo2Msg::MisDominator);
@@ -295,9 +356,9 @@ pub mod distributed {
             if self.color != NodeColor::Gray || self.sent_one_hop {
                 return;
             }
-            if self.decided.len() == ctx.degree() {
+            if self.decided == ctx.degree() {
                 self.sent_one_hop = true;
-                ctx.broadcast(Algo2Msg::OneHopDoms(self.one_hop_doms.iter().copied().collect()));
+                ctx.broadcast(Algo2Msg::OneHopDoms(self.one_hop_doms.clone()));
                 self.maybe_send_two_hop(ctx);
             }
         }
@@ -308,11 +369,9 @@ pub mod distributed {
             if self.color != NodeColor::Gray || self.sent_two_hop || !self.sent_one_hop {
                 return;
             }
-            if self.gray_neighbors.iter().all(|p| self.one_hop_lists_from.contains(p)) {
+            if self.gray_with_list == self.gray {
                 self.sent_two_hop = true;
-                ctx.broadcast(Algo2Msg::TwoHopDoms(
-                    self.two_hop_doms.iter().map(|(&d, &v)| (d, v)).collect(),
-                ));
+                ctx.broadcast(Algo2Msg::TwoHopDoms(self.two_hop_doms.clone()));
             }
         }
     }
@@ -333,10 +392,12 @@ pub mod distributed {
         fn on_message(&mut self, from: ProcId, msg: Algo2Msg, ctx: &mut Context<'_, Algo2Msg>) {
             match msg {
                 Algo2Msg::MisDominator => {
-                    self.decided.insert(from);
-                    self.one_hop_doms.insert(from);
+                    self.flag(ctx, from, DECIDED);
+                    if let Err(at) = self.one_hop_doms.binary_search(&from) {
+                        self.one_hop_doms.insert(at, from);
+                    }
                     // a 2-hop entry for a now-adjacent dominator is stale
-                    self.two_hop_doms.remove(&from);
+                    remove_key(&mut self.two_hop_doms, from);
                     if self.color == NodeColor::White {
                         self.color = NodeColor::Gray;
                         ctx.broadcast(Algo2Msg::Gray);
@@ -344,8 +405,7 @@ pub mod distributed {
                     self.maybe_send_one_hop(ctx);
                 }
                 Algo2Msg::Gray => {
-                    self.decided.insert(from);
-                    self.gray_neighbors.insert(from);
+                    self.flag(ctx, from, DECIDED | GRAY);
                     self.maybe_join_mis(ctx);
                     self.maybe_send_one_hop(ctx);
                     self.maybe_send_two_hop(ctx);
@@ -355,24 +415,21 @@ pub mod distributed {
                     match self.color {
                         NodeColor::Gray | NodeColor::AdditionalDominator => {
                             for d in doms {
-                                if d != me
-                                    && !self.one_hop_doms.contains(&d)
-                                    && !self.two_hop_doms.contains_key(&d)
-                                {
-                                    self.two_hop_doms.insert(d, from);
+                                if d != me && self.one_hop_doms.binary_search(&d).is_err() {
+                                    insert_new(&mut self.two_hop_doms, d, from);
                                 }
                             }
-                            self.one_hop_lists_from.insert(from);
+                            self.flag(ctx, from, LIST);
                             self.maybe_send_two_hop(ctx);
                         }
                         NodeColor::MisDominator => {
                             for d in doms {
-                                if d != me && !self.two_hop_doms.contains_key(&d) {
-                                    self.two_hop_doms.insert(d, from);
+                                if d != me && !has_key(&self.two_hop_doms, d) {
+                                    insert_new(&mut self.two_hop_doms, d, from);
                                     // Lemma-2-style cleanup: a dominator
                                     // discovered at 2 hops cannot be a
                                     // 3-hop entry
-                                    self.three_hop_doms.remove(&d);
+                                    remove_key(&mut self.three_hop_doms, d);
                                 }
                             }
                         }
@@ -389,10 +446,10 @@ pub mod distributed {
                     for (w, x) in entries {
                         if w != me
                             && me < w
-                            && !self.two_hop_doms.contains_key(&w)
-                            && !self.three_hop_doms.contains_key(&w)
+                            && !has_key(&self.two_hop_doms, w)
+                            && !has_key(&self.three_hop_doms, w)
                         {
-                            self.three_hop_doms.insert(w, (from, x));
+                            insert_new(&mut self.three_hop_doms, w, (from, x));
                             ctx.send(from, Algo2Msg::Selection { x, w });
                         }
                     }
@@ -417,7 +474,7 @@ pub mod distributed {
                 Algo2Msg::Relay { v, u } => {
                     if self.color == NodeColor::MisDominator {
                         // record the reverse bridge: reach u via (x=from, v)
-                        self.three_hop_doms.entry(u).or_insert((from, v));
+                        insert_new(&mut self.three_hop_doms, u, (from, v));
                     }
                 }
             }

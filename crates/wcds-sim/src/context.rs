@@ -15,7 +15,8 @@ pub(crate) enum Outgoing<M> {
 /// The context exposes exactly what the paper allows a node to know:
 /// its own identifier, the identifiers of its 1-hop neighbors, and the
 /// current virtual time. Sending is buffered; the simulator flushes the
-/// buffer when the callback returns.
+/// buffer when the callback returns and hands the emptied buffers to
+/// the next callback.
 #[derive(Debug)]
 pub struct Context<'a, M> {
     id: ProcId,
@@ -26,8 +27,16 @@ pub struct Context<'a, M> {
 }
 
 impl<'a, M> Context<'a, M> {
-    pub(crate) fn new(id: ProcId, neighbors: &'a [ProcId], now: Time) -> Self {
-        Self { id, neighbors, now, outgoing: Vec::new(), timers: Vec::new() }
+    /// A context writing into the given (empty) send and timer buffers.
+    pub(crate) fn new(
+        id: ProcId,
+        neighbors: &'a [ProcId],
+        now: Time,
+        outgoing: Vec<Outgoing<M>>,
+        timers: Vec<Time>,
+    ) -> Self {
+        debug_assert!(outgoing.is_empty() && timers.is_empty(), "buffers must be drained");
+        Self { id, neighbors, now, outgoing, timers }
     }
 
     /// This node's identifier.
@@ -97,7 +106,7 @@ mod tests {
     #[test]
     fn accessors_reflect_construction() {
         let nbrs = [1, 4, 7];
-        let ctx: Context<'_, ()> = Context::new(3, &nbrs, 5);
+        let ctx: Context<'_, ()> = Context::new(3, &nbrs, 5, Vec::new(), Vec::new());
         assert_eq!(ctx.id(), 3);
         assert_eq!(ctx.degree(), 3);
         assert_eq!(ctx.now(), 5);
@@ -108,7 +117,7 @@ mod tests {
     #[test]
     fn broadcast_buffers_one_entry() {
         let nbrs = [1, 2];
-        let mut ctx: Context<'_, u8> = Context::new(0, &nbrs, 0);
+        let mut ctx: Context<'_, u8> = Context::new(0, &nbrs, 0, Vec::new(), Vec::new());
         ctx.broadcast(9);
         assert_eq!(ctx.outgoing.len(), 1);
         assert_eq!(ctx.outgoing[0], Outgoing::Broadcast(9));
@@ -117,7 +126,7 @@ mod tests {
     #[test]
     fn unicast_to_neighbor_ok() {
         let nbrs = [2];
-        let mut ctx: Context<'_, u8> = Context::new(0, &nbrs, 0);
+        let mut ctx: Context<'_, u8> = Context::new(0, &nbrs, 0, Vec::new(), Vec::new());
         ctx.send(2, 7);
         assert_eq!(ctx.outgoing[0], Outgoing::Unicast(2, 7));
     }
@@ -126,14 +135,14 @@ mod tests {
     #[should_panic(expected = "non-neighbor")]
     fn unicast_to_stranger_panics() {
         let nbrs = [2];
-        let mut ctx: Context<'_, u8> = Context::new(0, &nbrs, 0);
+        let mut ctx: Context<'_, u8> = Context::new(0, &nbrs, 0, Vec::new(), Vec::new());
         ctx.send(3, 7);
     }
 
     #[test]
     fn timer_fires_strictly_later() {
         let nbrs: [ProcId; 0] = [];
-        let mut ctx: Context<'_, ()> = Context::new(0, &nbrs, 10);
+        let mut ctx: Context<'_, ()> = Context::new(0, &nbrs, 10, Vec::new(), Vec::new());
         ctx.set_timer(0);
         ctx.set_timer(5);
         assert_eq!(ctx.timers, vec![11, 15]);

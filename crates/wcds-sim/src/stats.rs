@@ -108,8 +108,12 @@ pub struct SimReport {
     pub time: Time,
     /// Message counters.
     pub messages: MessageStats,
-    /// Number of protocol callbacks executed (start + message + timer) —
-    /// a proxy for total computation.
+    /// Number of events the scheduler handled: one per start plus one
+    /// per dequeued delivery or timer — a proxy for total computation,
+    /// not a count of callbacks. A dropped delivery counts and runs no
+    /// callback; a duplicated one counts once and runs two. The
+    /// asynchronous schedule also counts a delivery addressed to a
+    /// crashed node, which the synchronous one skips uncounted.
     pub events: u64,
     /// The event trace, if the schedule enabled tracing (empty
     /// otherwise).

@@ -7,12 +7,15 @@ use wcds_sim::{Context, FaultPlan, Protocol, Schedule, SimError, Simulator};
 #[derive(Debug, Default)]
 struct Flood {
     informed: bool,
+    /// Callbacks this node ran (starts and deliveries).
+    callbacks: u32,
 }
 
 impl Protocol for Flood {
     type Message = ();
 
     fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
+        self.callbacks += 1;
         if ctx.id() == 0 {
             self.informed = true;
             ctx.broadcast(());
@@ -20,6 +23,7 @@ impl Protocol for Flood {
     }
 
     fn on_message(&mut self, _from: usize, _msg: (), ctx: &mut Context<'_, ()>) {
+        self.callbacks += 1;
         if !self.informed {
             self.informed = true;
             ctx.broadcast(());
@@ -214,6 +218,52 @@ fn timers_fire_in_both_schedules() {
     let report = sim.run(Schedule::asynchronous(4)).unwrap();
     assert!(sim.nodes().iter().all(|n| n.fired == 3));
     assert_eq!(report.time, 7); // timers are delay-exact in async mode too
+}
+
+#[test]
+fn inspector_runs_every_round_and_after_every_async_event() {
+    // synchronous: once per round, including rounds with nothing due
+    // (1, 2, 4 and 6 here); asynchronous: once per dequeued event
+    let times = |schedule: Schedule| {
+        let mut sim = Simulator::new(&Graph::empty(3), |_| TimerProto::default());
+        let mut seen = Vec::new();
+        sim.run_inspected(schedule, |time, _| {
+            seen.push(time);
+            Ok(())
+        })
+        .unwrap();
+        seen
+    };
+    assert_eq!(times(Schedule::synchronous()), [0, 1, 2, 3, 4, 5, 6, 7]);
+    assert_eq!(times(Schedule::asynchronous(1)), [0, 3, 3, 3, 5, 5, 5, 7, 7, 7]);
+}
+
+#[test]
+fn events_count_dequeued_events_not_callbacks() {
+    let callbacks = |sim: &Simulator<Flood>| sim.nodes().iter().map(|n| n.callbacks).sum::<u32>();
+    let g = generators::path(4);
+    for schedule in [Schedule::synchronous(), Schedule::asynchronous(2)] {
+        // four starts plus node 0's one dropped delivery
+        let plan = FaultPlan::new(1).drop_probability(1.0);
+        let mut sim = Simulator::new(&g, |_| Flood::default());
+        let report = sim.run(schedule.clone().with_fault_plan(plan)).unwrap();
+        assert_eq!((report.events, callbacks(&sim)), (5, 4));
+    }
+    // node 1's broadcast also reaches the crashed node 2: the
+    // asynchronous schedule counts that delivery, the synchronous one
+    // skips it
+    let crashed = |schedule: Schedule| {
+        let mut sim = Simulator::new(&g, |_| Flood::default());
+        let report = sim.run(schedule.with_fault_plan(FaultPlan::new(1).crash(2))).unwrap();
+        (report.events, callbacks(&sim))
+    };
+    assert_eq!(crashed(Schedule::synchronous()), (5, 5));
+    assert_eq!(crashed(Schedule::asynchronous(2)), (6, 5));
+    // a duplicated delivery is one event and two callbacks
+    let plan = FaultPlan::new(1).duplicate_probability(1.0);
+    let mut sim = Simulator::new(&generators::path(2), |_| Flood::default());
+    let report = sim.run(Schedule::synchronous().with_fault_plan(plan)).unwrap();
+    assert_eq!((report.events, callbacks(&sim)), (4, 6));
 }
 
 #[test]

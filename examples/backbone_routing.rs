@@ -19,7 +19,7 @@ fn main() {
     let g = udg.graph();
     if !traversal::is_connected(g) {
         eprintln!("deployment not connected — try a denser field");
-        return;
+        std::process::exit(1);
     }
 
     let result = AlgorithmTwo::new().construct(g);

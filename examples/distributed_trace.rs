@@ -14,11 +14,11 @@ use wcds::graph::{traversal, UnitDiskGraph};
 use wcds::sim::Schedule;
 
 fn main() {
-    let udg = UnitDiskGraph::build(deploy::uniform(18, 2.6, 2.6, 5), 1.0);
+    let udg = UnitDiskGraph::build(deploy::uniform(18, 2.6, 2.6, 4), 1.0);
     let g = udg.graph();
     if !traversal::is_connected(g) {
         eprintln!("deployment not connected — try another seed");
-        return;
+        std::process::exit(1);
     }
 
     // Algorithm II with tracing: every send and delivery, timestamped.

@@ -27,7 +27,7 @@ fn main() {
     );
     if !traversal::is_connected(g) {
         eprintln!("deployment not connected — try a denser field");
-        return;
+        std::process::exit(1);
     }
 
     // 2. Algorithm I: leader-rooted, level-ranked MIS. Ratio ≤ 5·opt.
