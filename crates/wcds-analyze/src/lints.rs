@@ -720,7 +720,7 @@ mod tests {
             "fn f(buf: &'a [u8]) -> [u8; 4] { let x: [u8; 4] = [0; 4]; x }\n",
             "fn g() { for u in [1, 2] { let _ = u; } }\n",
             "fn h(n: usize) -> Vec<u8> { vec![0u8; n] }\n",
-            "#[cfg(feature = \"x\")]\n",
+            "#[cfg(target_os = \"linux\")]\n",
             "fn k(a: &[u8]) -> Option<&u8> { a.get(0) }\n",
         );
         assert!(violations(clean).is_empty(), "{:?}", violations(clean));

@@ -108,7 +108,6 @@ fn main() {
         city_scale(n, scale, naive_baseline, &mut rows, &mut checks);
     }
 
-    write_bench_json("BENCH_construction.json", "construction", &rows, &checks);
     for r in &rows {
         println!(
             "{:<22} n={:<7} m={:<8} t={} {:>9.2} ms  {:>12.0} items/s  rss {:>6.1} MiB",
@@ -118,7 +117,7 @@ fn main() {
     for (k, v) in &checks {
         println!("  {k} = {v}");
     }
-    println!("wrote BENCH_construction.json");
+    write_bench_json(scale, "BENCH_construction.json", "construction", &rows, &checks);
 }
 
 /// City-scale sweep at one size: parallel build + threaded

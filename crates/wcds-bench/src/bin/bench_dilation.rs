@@ -9,8 +9,8 @@
 //!   per-source allocation, layer sort), the speedup denominator;
 //! * `dilation_csr_serial` — the CSR + scratch engine on one thread;
 //! * `dilation_csr_parallel` — the same engine on
-//!   [`wcds_graph::parallel::threads`] workers (set `WCDS_THREADS` with
-//!   the `rayon` feature to pin the count).
+//!   [`wcds_graph::parallel::threads`] workers (set `WCDS_THREADS` to
+//!   pick the count; unset, it is 1).
 //!
 //! The parallel report is asserted **equal** to the serial one
 //! (witnesses included), and both must agree with the legacy ratios.
@@ -72,7 +72,6 @@ fn main() {
         ("geometric_ratio".to_string(), format!("{:.4}", serial.geometric_ratio())),
     ];
 
-    write_bench_json("BENCH_dilation.json", "dilation", &rows, &checks);
     for r in &rows {
         println!(
             "{:<22} threads={} {:>9.2} ms  {:>9.1} sources/s",
@@ -85,5 +84,5 @@ fn main() {
         legacy_ms / par_ms.max(1e-9),
         nthreads
     );
-    println!("wrote BENCH_dilation.json");
+    write_bench_json(scale, "BENCH_dilation.json", "dilation", &rows, &checks);
 }

@@ -274,7 +274,6 @@ fn main() {
     ));
     checks.push(("thread_sweep_state_identical".to_string(), "true".to_string()));
 
-    write_bench_json("BENCH_maintenance.json", "maintenance", &rows, &checks);
     for r in &rows {
         println!(
             "{:<22} n={:<5} m={:<6} {:>9.2} ms  {:>10.0} mutations/s",
@@ -284,5 +283,5 @@ fn main() {
     for (k, v) in &checks {
         println!("  {k} = {v}");
     }
-    println!("wrote BENCH_maintenance.json");
+    write_bench_json(scale, "BENCH_maintenance.json", "maintenance", &rows, &checks);
 }

@@ -219,7 +219,6 @@ fn main() {
     checks.push(("storm_seed".to_string(), format!("{STORM_SEED}")));
     checks.push(("r22_dominates_plain".to_string(), "true".to_string()));
 
-    write_bench_json("BENCH_resilience.json", "resilience", &rows, &checks);
     for r in &rows {
         println!(
             "{:<18} n={:<7} m={:<8} {:>10.2} ms  {:>12.0} nodes/s",
@@ -229,5 +228,5 @@ fn main() {
     for (k, v) in &checks {
         println!("  {k} = {v}");
     }
-    println!("wrote BENCH_resilience.json");
+    write_bench_json(scale, "BENCH_resilience.json", "resilience", &rows, &checks);
 }

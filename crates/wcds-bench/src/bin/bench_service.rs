@@ -495,7 +495,6 @@ fn main() {
         missed.len(),
         missed.join("\n  ")
     );
-    write_bench_json("BENCH_service.json", "service", &rows, &checks);
-    println!("wrote BENCH_service.json");
+    write_bench_json(scale, "BENCH_service.json", "service", &rows, &checks);
 }
 

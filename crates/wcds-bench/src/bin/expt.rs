@@ -1,17 +1,17 @@
 //! Experiment dispatcher; see DESIGN.md §5.
 //!
-//! `expt <name> [--quick]` prints one experiment's tables, `expt all`
-//! prints the entire reproduced evaluation, and `expt render_figures`
-//! writes the paper-style figures as SVG artifacts into ./artifacts.
-//! Without `--quick` the experiments run at paper scale. A missing or
-//! unknown name prints the list of names and exits non-zero.
+//! `expt <name> [--quick | --full]` prints one experiment's tables,
+//! `expt all` prints the entire reproduced evaluation, and
+//! `expt render_figures` writes the paper-style figures as SVG artifacts
+//! into ./artifacts. Without `--quick` the experiments run at paper
+//! scale. A missing or unknown name, or any other argument, prints the
+//! list of names and exits with status 2.
 
 use wcds_bench::experiments::{self, figures, EXPERIMENTS};
-use wcds_bench::util::Scale;
+use wcds_bench::util::parse_args;
 
 fn main() {
-    let scale = Scale::from_args();
-    let name = std::env::args().skip(1).find(|a| !a.starts_with("--"));
+    let (scale, name) = parse_args(std::env::args().skip(1), true).unwrap_or_else(|e| usage(&e));
     match name.as_deref() {
         Some("all") => {
             println!("# WCDS paper evaluation — full reproduction ({scale:?} scale)\n");
@@ -47,7 +47,7 @@ fn render_figures() {
 }
 
 fn usage(problem: &str) -> ! {
-    eprintln!("error: {problem}\nusage: expt <name> [--quick]\nnames:");
+    eprintln!("error: {problem}\nusage: expt <name> [--quick | --full]\nnames:");
     for name in EXPERIMENTS
         .iter()
         .map(|(n, _)| *n)

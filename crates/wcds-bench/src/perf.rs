@@ -12,6 +12,7 @@
 //! No `serde` in the dependency tree — the JSON is assembled by hand
 //! from flat rows, which is all these artifacts need.
 
+use crate::util::Scale;
 use std::collections::VecDeque;
 use std::time::Instant;
 use wcds_geom::Point;
@@ -91,15 +92,27 @@ pub fn time_ms<T>(f: impl FnOnce() -> T) -> (f64, T) {
 }
 
 /// Serialises rows plus free-form check entries into a small JSON
-/// document and writes it to `path`.
+/// document and writes it to `path`, then says so on stdout.
 ///
+/// Only a full-scale run writes: a [`Scale::Quick`] run prints that it
+/// wrote nothing, so smoke runs never overwrite a full-scale record.
 /// `checks` values are emitted verbatim, so pass valid JSON scalars
 /// (`"true"`, `"3.14"`, `"\"text\""`).
 ///
 /// # Panics
 ///
 /// Panics if the file cannot be written.
-pub fn write_bench_json(path: &str, bench: &str, rows: &[BenchRow], checks: &[(String, String)]) {
+pub fn write_bench_json(
+    scale: Scale,
+    path: &str,
+    bench: &str,
+    rows: &[BenchRow],
+    checks: &[(String, String)],
+) {
+    if scale == Scale::Quick {
+        println!("quick run: {path} not written");
+        return;
+    }
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"bench\": \"{bench}\",\n"));
     out.push_str("  \"rows\": [\n");
@@ -126,6 +139,7 @@ pub fn write_bench_json(path: &str, bench: &str, rows: &[BenchRow], checks: &[(S
     }
     out.push_str("  }\n}\n");
     std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    println!("wrote {path}");
 }
 
 /// The pre-CSR adjacency representation: one heap allocation per node.
@@ -342,6 +356,7 @@ mod tests {
         let dir = std::env::temp_dir().join("wcds_bench_json_test.json");
         let path = dir.to_str().unwrap();
         write_bench_json(
+            Scale::Full,
             path,
             "demo",
             &[BenchRow::new("a", 1, 2, 1, 3.0, 4)],
@@ -353,6 +368,15 @@ mod tests {
         assert!(s.contains("\"peak_rss_mb\": "));
         assert_eq!(s.matches('{').count(), s.matches('}').count());
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn quick_runs_write_no_record() {
+        let path = std::env::temp_dir().join("wcds_bench_quick_record_test.json");
+        let _ = std::fs::remove_file(&path);
+        let path = path.to_str().unwrap();
+        write_bench_json(Scale::Quick, path, "demo", &[], &[]);
+        assert!(!std::path::Path::new(path).exists(), "a quick run wrote {path}");
     }
 
     #[test]

@@ -19,12 +19,16 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--quick` from a binary's argument list.
+    /// Reads a `bench_*` binary's scale from its command line; anything
+    /// [`parse_args`] rejects prints the usage and exits with status 2.
     pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Full
+        match parse_args(std::env::args().skip(1), false) {
+            Ok((scale, _)) => scale,
+            Err(problem) => {
+                let bin = std::env::args().next().unwrap_or_default();
+                eprintln!("error: {problem}\nusage: {bin} [--quick | --full]");
+                std::process::exit(2)
+            }
         }
     }
 
@@ -35,6 +39,29 @@ impl Scale {
             Scale::Full => full,
         }
     }
+}
+
+/// Parses a benchmark or experiment command line (without the program
+/// name): at most one `--quick` or `--full` (default full scale) and,
+/// when `takes_name`, at most one experiment name.
+///
+/// # Errors
+///
+/// Names the first argument the binary does not read.
+pub fn parse_args(
+    args: impl IntoIterator<Item = String>,
+    takes_name: bool,
+) -> Result<(Scale, Option<String>), String> {
+    let (mut scale, mut name) = (None, None);
+    for arg in args {
+        match arg.as_str() {
+            "--quick" if scale.is_none() => scale = Some(Scale::Quick),
+            "--full" if scale.is_none() => scale = Some(Scale::Full),
+            _ if takes_name && name.is_none() && !arg.starts_with('-') => name = Some(arg),
+            _ => return Err(format!("unexpected argument `{arg}`")),
+        }
+    }
+    Ok((scale.unwrap_or(Scale::Full), name))
 }
 
 /// A printable result table.
@@ -174,6 +201,32 @@ mod tests {
     fn side_for_degree_formula() {
         let side = side_for_avg_degree(100, 10.0);
         assert!((side * side * 10.0 / std::f64::consts::PI - 100.0).abs() < 1e-9);
+    }
+
+    fn parse(args: &[&str], takes_name: bool) -> Result<(Scale, Option<String>), String> {
+        parse_args(args.iter().map(|a| a.to_string()), takes_name)
+    }
+
+    #[test]
+    fn bench_args_take_one_optional_scale_flag() {
+        assert_eq!(parse(&[], false), Ok((Scale::Full, None)));
+        assert_eq!(parse(&["--quick"], false), Ok((Scale::Quick, None)));
+        assert_eq!(parse(&["--full"], false), Ok((Scale::Full, None)));
+        for bad in [&["--quik"][..], &["quick"], &["--quick", "--full"], &["--full", "--full"]] {
+            assert!(parse(bad, false).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn expt_args_take_at_most_one_name() {
+        assert_eq!(parse(&["dilation"], true), Ok((Scale::Full, Some("dilation".into()))));
+        assert_eq!(parse(&["--quick", "all"], true), Ok((Scale::Quick, Some("all".into()))));
+        assert_eq!(parse(&["--quick"], true), Ok((Scale::Quick, None)));
+        assert_eq!(parse(&["all", "--quik"], true), Err("unexpected argument `--quik`".into()));
+        assert_eq!(
+            parse(&["fig2_wcds", "stray", "--bogus"], true),
+            Err("unexpected argument `stray`".into())
+        );
     }
 
     #[test]

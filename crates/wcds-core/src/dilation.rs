@@ -15,11 +15,11 @@
 //! Dijkstra / shortest-path-DAG passes), plus the affine-bound checks
 //! with their worst witnesses.
 //!
-//! The sweep is per-source parallel (the `rayon` feature; see
-//! [`wcds_graph::parallel`]): each source yields an independent partial
-//! over its pairs, and the partials are folded **serially in source
-//! order** with the same strict-improvement comparisons a serial scan
-//! performs — so the report is byte-identical whatever the thread count.
+//! The sweep is per-source parallel (see [`wcds_graph::parallel`]):
+//! each source yields an independent partial over its pairs, and the
+//! partials are folded **serially in source order** with the same
+//! strict-improvement comparisons a serial scan performs — so the
+//! report is byte-identical whatever the thread count.
 
 use wcds_graph::{parallel, CsrWeights, Graph, NodeId, SearchScratch};
 use wcds_geom::Point;
@@ -287,7 +287,7 @@ impl DilationReport {
 
     /// [`DilationReport::measure`] with an explicit worker count.
     ///
-    /// Exposed so determinism can be tested without feature flags: the
+    /// Exposed so determinism can be tested at fixed widths: the
     /// report is identical for every `nthreads`, because per-source
     /// partials are folded serially in source order.
     pub fn measure_with_threads(

@@ -151,8 +151,9 @@ struct Baseline {
 
 impl MaintainedWcds {
     /// Builds the initial WCDS (Algorithm II's construction) over a
-    /// deployment, using [`wcds_graph::parallel::threads()`] workers for
-    /// the from-scratch bridge sweep.
+    /// deployment, using [`wcds_graph::parallel::threads()`] workers (1
+    /// unless `WCDS_THREADS` asks for more) for the from-scratch bridge
+    /// sweep and for later repairs.
     pub fn new(points: Vec<Point>, radius: f64) -> Self {
         Self::with_threads(points, radius, wcds_graph::parallel::threads())
     }

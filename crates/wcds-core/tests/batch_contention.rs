@@ -12,8 +12,7 @@
 //! one coalesced `apply_motion` for the whole run of moves — and assert
 //! the final state is **byte-identical** to serial replay in batch
 //! order at every engine thread count (1/2/4/8), plus the from-scratch
-//! Algorithm II oracle. Runs under serial and `--features rayon`
-//! builds unchanged.
+//! Algorithm II oracle.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 

@@ -15,10 +15,6 @@
 //!   (disturbed edges → MIS flips, then disturbance ∪ flips →
 //!   dominator-status changes) — is ≤ 3 whenever both the pre- and
 //!   post-mutation graphs are connected (the paper's §4.2 claim).
-//!
-//! The suite must pass serially and with `--features rayon` (CI runs
-//! both); nothing here depends on the feature, which is the point —
-//! results are engine-independent.
 
 use wcds_core::algo2::AlgorithmTwo;
 use wcds_core::maintenance::MaintainedWcds;

@@ -19,8 +19,8 @@
 //! * [`shortest_path`] — Dijkstra, hop-count and geometric-length APSP;
 //! * [`SearchScratch`] — reusable epoch-stamped search state so
 //!   all-sources sweeps run without per-source allocation;
-//! * [`parallel`] — a dependency-free per-source parallel engine behind
-//!   the opt-in `rayon` cargo feature;
+//! * [`parallel`] — a dependency-free per-source parallel engine whose
+//!   width `WCDS_THREADS` picks at run time (1 when unset);
 //! * [`spanning`] — rooted BFS spanning trees with levels (the paper's
 //!   level-based ranking substrate);
 //! * [`domination`] — dominating-set / independence / weak-connectivity

@@ -1,4 +1,4 @@
-//! Opt-in parallel execution of per-source sweeps (`rayon` feature).
+//! Parallel execution of per-source sweeps.
 //!
 //! All-sources measurements (dilation, eccentricity, APSP) are
 //! embarrassingly parallel over sources, and every caller in this
@@ -7,31 +7,28 @@
 //!
 //! The build environment vendors no third-party crates, so the engine
 //! is dependency-free: `std::thread::scope` over contiguous chunks of
-//! an output slice. The cargo feature keeps the crate's historical
-//! `rayon` name (and CLI `--features rayon` spelling) even though no
-//! external crate backs it; without the feature every function here
-//! degrades to the serial loop.
-//!
-//! Worker count comes from [`threads`]: the `WCDS_THREADS` environment
-//! variable when set, else [`std::thread::available_parallelism`].
+//! an output slice. One worker is exactly the serial loop.
 
-/// Number of worker threads the parallel engine will use.
-///
-/// With the `rayon` feature off this is always 1. With it on, the
-/// `WCDS_THREADS` environment variable overrides (values `< 1` are
-/// clamped to 1), falling back to the machine's available parallelism.
+/// Number of worker threads for callers that take no explicit width:
+/// `WCDS_THREADS` bounded by [`threads_from`], read on every call, or 1
+/// when the variable is unset.
 pub fn threads() -> usize {
-    #[cfg(not(feature = "rayon"))]
-    {
-        1
-    }
-    #[cfg(feature = "rayon")]
-    {
-        match std::env::var("WCDS_THREADS") {
-            Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-            Err(_) => std::thread::available_parallelism().map_or(1, |p| p.get()),
+    match std::env::var("WCDS_THREADS") {
+        Ok(value) => {
+            let available = std::thread::available_parallelism().map_or(1, |p| p.get());
+            threads_from(Some(&value), available)
         }
+        Err(_) => 1,
     }
+}
+
+/// The worker count a `WCDS_THREADS` value asks for on a host with
+/// `available` hardware threads. Unset, empty, non-numeric and `0` give
+/// 1, and a count above `available` is clamped to it, so a stray large
+/// value cannot spawn thousands of threads per sweep.
+pub fn threads_from(value: Option<&str>, available: usize) -> usize {
+    let asked = value.and_then(|v| v.trim().parse::<usize>().ok()).unwrap_or(1);
+    asked.clamp(1, available.max(1))
 }
 
 /// Fills `out[i] = f(state, i)` for every index, splitting the indices
@@ -122,22 +119,20 @@ mod tests {
         assert_eq!(marks, (0..30).collect::<Vec<_>>());
     }
 
-    #[cfg(not(feature = "rayon"))]
     #[test]
-    fn threads_is_one_without_the_feature() {
-        assert_eq!(threads(), 1);
-    }
-
-    #[cfg(feature = "rayon")]
-    #[test]
-    fn threads_honors_env_override() {
-        // NB: set_var is fine here; tests in this module run in one process
-        // and this is the only test reading the variable with the feature on.
-        std::env::set_var("WCDS_THREADS", "3");
-        assert_eq!(threads(), 3);
-        std::env::set_var("WCDS_THREADS", "0");
-        assert_eq!(threads(), 1);
-        std::env::remove_var("WCDS_THREADS");
-        assert!(threads() >= 1);
+    fn threads_from_defaults_to_one_and_clamps_to_the_host() {
+        for (value, want) in [
+            (None, 1),
+            (Some(""), 1),
+            (Some("abc"), 1),
+            (Some("0"), 1),
+            (Some("-2"), 1),
+            (Some(" 3 "), 3),
+            (Some("4"), 4),
+            (Some("100000"), 4),
+        ] {
+            assert_eq!(threads_from(value, 4), want, "WCDS_THREADS={value:?}");
+        }
+        assert_eq!(threads_from(Some("3"), 0), 1, "an unknown host still gets one worker");
     }
 }

@@ -57,9 +57,8 @@ pub fn min_hop_max_length(g: &Graph, points: &[Point], source: NodeId) -> Vec<Op
 /// All-pairs hop distances as a dense matrix (`n` BFS runs, `O(n·(n+|E|))`).
 ///
 /// Entry `[u][v]` is `None` when `v` is unreachable from `u`. The rows
-/// run on the parallel engine ([`parallel::threads`] workers when the
-/// `rayon` feature is on); each row is a pure per-source map, so thread
-/// count cannot affect the matrix.
+/// run on [`parallel::threads`] workers; each row is a pure per-source
+/// map, so thread count cannot affect the matrix.
 pub fn all_pairs_hops(g: &Graph) -> Vec<Vec<Option<u32>>> {
     let n = g.node_count();
     parallel::map_indices(parallel::threads(), n, || SearchScratch::new(n), |scratch, u| {

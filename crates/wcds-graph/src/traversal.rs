@@ -269,9 +269,8 @@ pub fn is_connected_subset(g: &Graph, s: &[NodeId]) -> bool {
 /// Per-node hop eccentricities; `None` marks a node that cannot reach
 /// the whole graph.
 ///
-/// Runs one BFS per node on the parallel engine ([`parallel::threads`]
-/// workers when the `rayon` feature is on). The result is a pure
-/// per-source map, so thread count cannot affect it.
+/// Runs one BFS per node on [`parallel::threads`] workers. The result
+/// is a pure per-source map, so thread count cannot affect it.
 pub fn eccentricities(g: &Graph) -> Vec<Option<u32>> {
     eccentricities_with_threads(g, parallel::threads())
 }

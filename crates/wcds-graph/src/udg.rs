@@ -34,8 +34,8 @@ impl UnitDiskGraph {
     /// Builds the UDG over `points` with transmission range `radius`.
     ///
     /// Runs in `O(n + |E|)` expected time using a spatial index, with
-    /// [`parallel::threads`] worker threads (1 unless the `rayon`
-    /// feature is enabled and `WCDS_THREADS` asks for more).
+    /// [`parallel::threads`] worker threads (1 unless `WCDS_THREADS`
+    /// asks for more).
     ///
     /// # Panics
     ///

@@ -2,7 +2,7 @@
 //! satellite): dominators die through the ordinary mutation API while
 //! routes keep being served; after healing, the installed artifacts are
 //! byte-identical to a from-scratch resilient build on the surviving
-//! graph. Runs identically with and without `--features rayon`.
+//! graph.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 

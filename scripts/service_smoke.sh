@@ -6,24 +6,24 @@
 # through `wcds query`, and require a clean server exit. Each broadcast must print its exact
 # expected line.
 #
-# Usage: scripts/service_smoke.sh [--features rayon]
-# Extra arguments are passed to every `cargo run` (so the smoke runs
-# identically with and without the parallel engine). Set
-# WCDS_SMOKE_PORT to move the server off the default port 7741.
+# Usage: scripts/service_smoke.sh
+# Set WCDS_SMOKE_PORT to move the server off the default port 7741, and
+# WCDS_THREADS to run the compute crates' parallel engine; the expected
+# lines are the same at every width.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+[[ $# -eq 0 ]] || { echo "usage: scripts/service_smoke.sh (takes no arguments)" >&2; exit 2; }
 
-CARGO_FLAGS=("$@")
 PORT="${WCDS_SMOKE_PORT:-7741}"
 GRAPH="$(mktemp -t wcds-smoke-XXXXXX.graph)"
 trap 'rm -f "${GRAPH}"; kill "${SERVER_PID:-}" 2>/dev/null || true' EXIT
 
 wcds() {
-  cargo run --release -q "${CARGO_FLAGS[@]}" -p wcds-cli --bin wcds -- "$@"
+  cargo run --release -q -p wcds-cli --bin wcds -- "$@"
 }
 
 # build first so the backgrounded serve doesn't race a compile
-cargo build --release "${CARGO_FLAGS[@]}" -p wcds-cli
+cargo build --release -p wcds-cli
 
 wcds generate --model uniform --n 60 --side 4 --seed 5 -o "${GRAPH}"
 
@@ -84,7 +84,7 @@ session() {
   # worker leaked; a hang here fails CI via the step timeout)
   wait "${SERVER_PID}"
   SERVER_PID=""
-  echo "service smoke OK (${CARGO_FLAGS[*]:-serial})"
+  echo "service smoke OK (WCDS_THREADS=${WCDS_THREADS:-unset})"
 }
 
 session "127.0.0.1:${PORT}"

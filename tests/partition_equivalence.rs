@@ -6,7 +6,7 @@
 //! so this suite pins the threaded per-anchor bridge sweep: the
 //! construction also self-checks at n ≤ 5000; here the comparison is
 //! explicit so the property is exercised at several widths and on
-//! adversarial inputs, with and without `--features rayon`.
+//! adversarial inputs.
 
 use wcds_core::algo2::AlgorithmTwo;
 use wcds_core::partition::PartitionedTwo;
