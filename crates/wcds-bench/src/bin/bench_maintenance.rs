@@ -16,32 +16,17 @@
 //! dominator-status changes): on steps where both the pre- and
 //! post-mutation graphs are connected it must be ≤ 3 (the paper's §4.2
 //! bound). Pass `--quick` for the CI smoke size.
-//!
-//! A second section sweeps the **batched drift path** — 16-move ticks,
-//! each coalesced into one `apply_motion` the way the service store
-//! applies a `MutateBatch` frame — across 1/2/4/8 repair workers.
-//! The final topology must be byte-identical at every thread count
-//! (the engine is thread-count-invariant by construction); throughput
-//! rows land in the JSON per `(n, threads)`. Monotone thread scaling
-//! is only *asserted* when the host actually exposes ≥ 8 CPUs —
-//! on smaller hosts the sweep still runs and records, plus a
-//! no-collapse floor (oversubscribed runs may not fall below half the
-//! single-thread rate).
 
 use wcds_bench::perf::{time_ms, write_bench_json, BenchRow};
 use wcds_bench::util::{side_for_avg_degree, Scale};
 use wcds_core::algo2::AlgorithmTwo;
 use wcds_core::maintenance::MaintainedWcds;
 use wcds_geom::{deploy, Point};
-use wcds_graph::{io, traversal, UnitDiskGraph};
+use wcds_graph::{traversal, UnitDiskGraph};
 use wcds_rng::{ChaCha12Rng, Rng};
 
 const SEED: u64 = 42;
 const RADIUS: f64 = 1.0;
-/// Moves per drift tick in the thread sweep — matches the service
-/// benchmark's `MutateBatch` frames.
-const BATCH: usize = 16;
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 struct TraceStats {
     incr_ms: f64,
@@ -115,67 +100,6 @@ fn run_trace(n: usize, steps: usize) -> TraceStats {
     stats
 }
 
-/// Replays `ticks` fixed-seed 16-move drift ticks at each thread count,
-/// one coalesced `apply_motion` per tick, timing the whole mutation
-/// path. Returns the pre-trace edge count and `(threads, wall_ms)` per
-/// run; panics if any thread count's final topology diverges from the
-/// single-thread run.
-fn run_thread_sweep(n: usize, ticks: usize) -> (usize, Vec<(usize, f64)>) {
-    let side = side_for_avg_degree(n, 11.0);
-    let points = deploy::uniform(n, side, side, SEED);
-    let base = MaintainedWcds::new(points, RADIUS);
-    let edges = base.graph().edge_count();
-    // relative drifts, fixed up front: every thread count replays the
-    // same trace over the same (deterministic) state evolution
-    let mut rng = ChaCha12Rng::seed_from_u64(SEED ^ 0xba7c4 ^ n as u64);
-    let trace: Vec<Vec<(usize, f64, f64)>> = (0..ticks)
-        .map(|_| {
-            (0..BATCH)
-                .map(|_| {
-                    (
-                        rng.gen_range(0..n),
-                        (rng.gen::<f64>() - 0.5) * 0.8,
-                        (rng.gen::<f64>() - 0.5) * 0.8,
-                    )
-                })
-                .collect()
-        })
-        .collect();
-
-    let mut reference: Option<String> = None;
-    let mut out = Vec::new();
-    for &t in &THREAD_SWEEP {
-        let mut net = base.clone();
-        net.set_threads(t);
-        let (ms, ()) = time_ms(|| {
-            for tick in &trace {
-                let moves: Vec<(usize, Point)> = tick
-                    .iter()
-                    .map(|&(u, dx, dy)| {
-                        let p = net.points()[u];
-                        let q = Point::new(
-                            (p.x + dx).clamp(0.0, side),
-                            (p.y + dy).clamp(0.0, side),
-                        );
-                        (u, q)
-                    })
-                    .collect();
-                net.apply_motion(&moves);
-            }
-        });
-        let export = io::to_text(net.graph(), Some(net.points()));
-        match &reference {
-            None => reference = Some(export),
-            Some(r) => assert_eq!(
-                r, &export,
-                "n={n}: {t}-thread final state diverged from single-thread"
-            ),
-        }
-        out.push((t, ms));
-    }
-    (edges, out)
-}
-
 fn main() {
     let scale = Scale::from_args();
     // (n, steps): the city-scale trace replays fewer steps because each
@@ -226,53 +150,8 @@ fn main() {
         );
     }
 
-    // batched-drift thread sweep: (n, ticks of BATCH moves each). The
-    // quick size times ~150 ms of repair per thread count, so the
-    // no-collapse floor below measures the engine rather than timer
-    // noise or a shared host's stalls (timing ~1 ms, and even ~35 ms,
-    // per count, the floor failed now and then on a busy 2-vCPU host)
-    let sweep_sizes: &[(usize, usize)] =
-        scale.pick(&[(2000, 100)][..], &[(2000, 25), (100_000, 6)][..]);
     let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let enforce_scaling = host_cpus >= *THREAD_SWEEP.last().unwrap_or(&1);
-    for &(n, ticks) in sweep_sizes {
-        let (edges, sweep) = run_thread_sweep(n, ticks);
-        let moves = ticks * BATCH;
-        let mut per_thread = Vec::new();
-        for &(t, ms) in &sweep {
-            let row = BenchRow::new("maintain_batch_sweep", n, edges, t, ms, moves);
-            checks.push((
-                format!("batch_moves_per_s_n{n}_t{t}"),
-                format!("{:.1}", row.throughput),
-            ));
-            per_thread.push(row.throughput);
-            rows.push(row);
-        }
-        // every multi-thread run must hold at least half the
-        // single-thread rate even on an oversubscribed host
-        let t1 = per_thread.first().copied().unwrap_or(0.0);
-        for (&(t, _), &thr) in sweep.iter().zip(&per_thread) {
-            assert!(
-                thr >= t1 * 0.5,
-                "n={n}: {t}-thread throughput {thr:.1}/s collapsed below half of \
-                 single-thread {t1:.1}/s"
-            );
-        }
-        if scale == Scale::Full && n >= 100_000 && enforce_scaling {
-            for w in per_thread.windows(2) {
-                assert!(
-                    w[1] >= w[0] * 0.95,
-                    "n={n}: thread sweep not monotone: {per_thread:?}"
-                );
-            }
-        }
-    }
     checks.push(("host_parallelism".to_string(), format!("{host_cpus}")));
-    checks.push((
-        "thread_scaling_enforced".to_string(),
-        format!("{}", enforce_scaling && scale == Scale::Full),
-    ));
-    checks.push(("thread_sweep_state_identical".to_string(), "true".to_string()));
 
     for r in &rows {
         println!(

@@ -28,11 +28,12 @@
 //! `O(1)`-messages-per-node budget. This choice affects only `w`'s
 //! routing tables, not the WCDS itself.
 
-use crate::maintenance::region::{contributions_for_pred, BallScratch};
+use crate::maintenance::region::contributions_for;
 use crate::mis::{greedy_mis, RankingMode};
 use crate::{ConstructionResult, Wcds, WcdsConstruction};
 use std::collections::BTreeSet;
-use wcds_graph::{traversal, Graph, NodeId};
+use wcds_graph::traversal::{self, BallTree};
+use wcds_graph::{Graph, NodeId};
 
 /// Centralized Algorithm II.
 ///
@@ -114,10 +115,10 @@ impl WcdsConstruction for AlgorithmTwo {
 /// compare against.
 pub fn select_additional_dominators(g: &Graph, mis: &[NodeId]) -> Vec<NodeId> {
     let in_mis = g.membership(mis);
-    let mut scratch = BallScratch::new(g.node_count());
+    let mut ball = BallTree::default();
     let mut additional = BTreeSet::new();
     for &u in mis {
-        additional.extend(contributions_for_pred(&mut scratch, g, |w| in_mis[w], u));
+        additional.extend(contributions_for(&mut ball, g, |w| in_mis[w], u));
     }
     debug_assert!(additional.iter().all(|&v| !in_mis[v]), "neighbors of a dominator are gray");
     additional.into_iter().collect()

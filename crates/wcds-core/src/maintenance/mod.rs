@@ -18,9 +18,9 @@
 //!   lexicographic-first MIS a from-scratch greedy run would build;
 //! * additional dominators are kept as per-MIS-node *contribution sets*
 //!   with bridge refcounts, so only MIS nodes inside the 3-hop ball
-//!   around the disturbance re-derive their bridges
-//!   ([`select_additional_dominators_in`]); the union stays equal to
-//!   Algorithm II's global selection at all times;
+//!   around the disturbance re-derive their bridges, each from its own
+//!   radius-3 ball; the union stays equal to Algorithm II's global
+//!   selection at all times;
 //! * every repair returns a [`RepairReport`] whose *locality radius* —
 //!   the per-stage propagation distance of the repair (disturbed edges
 //!   → MIS flips, then disturbance ∪ flips → dominator-status changes)
@@ -38,10 +38,10 @@
 use crate::Wcds;
 use std::collections::{BTreeMap, BTreeSet};
 use wcds_geom::Point;
-use wcds_graph::{DynamicUdg, Graph, NodeId};
+use wcds_graph::traversal::BallTree;
+use wcds_graph::{parallel, DynamicUdg, Graph, NodeId};
 
 pub(crate) mod region;
-pub use region::select_additional_dominators_in;
 
 /// How far the locality scan looks before calling a changed node
 /// unreachable from the disturbance (reported as `u32::MAX`). Repairs
@@ -73,19 +73,7 @@ pub struct MaintainedWcds {
     /// Bridge → number of MIS nodes whose contribution set contains it.
     /// The key set *is* the additional-dominator set.
     bridge_refs: BTreeMap<NodeId, u32>,
-    /// Workers for repair-internal parallel sweeps (contribution-set
-    /// recomputation fans out per anchor above
-    /// [`PARALLEL_REPAIR_THRESHOLD`]). Results are identical for every
-    /// value — the per-anchor sets are computed read-only and merged in
-    /// ascending key order.
-    threads: usize,
 }
-
-/// Below this many refresh anchors a repair stays on the calling thread:
-/// typical single-mutation repairs touch a handful of MIS nodes and the
-/// spawn cost would dominate. Batched drift ticks routinely disturb
-/// hundreds of anchors and cross this comfortably.
-const PARALLEL_REPAIR_THRESHOLD: usize = 16;
 
 /// What one repair changed, how far from the disturbance, and how much
 /// of the graph it had to look at.
@@ -151,53 +139,39 @@ struct Baseline {
 
 impl MaintainedWcds {
     /// Builds the initial WCDS (Algorithm II's construction) over a
-    /// deployment, using [`wcds_graph::parallel::threads()`] workers (1
-    /// unless `WCDS_THREADS` asks for more) for the from-scratch bridge
-    /// sweep and for later repairs.
+    /// deployment. The from-scratch pass runs the same greedy MIS and
+    /// per-anchor bridge sweep as [`crate::partition::PartitionedTwo`],
+    /// on [`parallel::threads()`] workers (1 unless `WCDS_THREADS` asks
+    /// for more), so a 100k-node deployment comes up in seconds instead
+    /// of minutes; the state is identical for every width. Later
+    /// repairs are incremental and run on the calling thread.
     pub fn new(points: Vec<Point>, radius: f64) -> Self {
-        Self::with_threads(points, radius, wcds_graph::parallel::threads())
+        let udg = DynamicUdg::new(points, radius);
+        let mis = crate::mis::greedy_mis(udg.graph(), crate::mis::RankingMode::StaticId);
+        let mis = mis.into_iter().collect();
+        let mut net = Self { udg, mis, contrib: BTreeMap::new(), bridge_refs: BTreeMap::new() };
+        net.rebuild_contributions();
+        net.debug_check_against_global();
+        net
     }
 
-    /// [`MaintainedWcds::new`] with an explicit worker count for the
-    /// initial construction. The from-scratch pass runs the same
-    /// greedy MIS and threaded per-anchor bridge sweep as
-    /// [`crate::partition::PartitionedTwo`], so a 100k-node deployment
-    /// comes up in seconds instead of minutes; subsequent repairs are
-    /// incremental and fan their refresh sweeps out over the same
-    /// worker count (see [`MaintainedWcds::set_threads`]). The
-    /// resulting state is identical for every `nthreads`.
-    pub fn with_threads(points: Vec<Point>, radius: f64, nthreads: usize) -> Self {
-        let udg = DynamicUdg::new(points, radius);
-        let mis_vec = crate::mis::greedy_mis(udg.graph(), crate::mis::RankingMode::StaticId);
+    /// Recomputes every contribution set and bridge refcount from the
+    /// current MIS with the threaded per-anchor sweep.
+    fn rebuild_contributions(&mut self) {
+        let mis: Vec<NodeId> = self.mis.iter().copied().collect();
         let per_anchor =
-            crate::partition::bridge_contributions(udg.graph(), &mis_vec, nthreads.max(1));
-        let mis: BTreeSet<NodeId> = mis_vec.into_iter().collect();
-        let mut contrib = BTreeMap::new();
-        let mut bridge_refs: BTreeMap<NodeId, u32> = BTreeMap::new();
+            crate::partition::bridge_contributions(self.udg.graph(), &mis, parallel::threads());
+        self.contrib.clear();
+        self.bridge_refs.clear();
         for (u, set) in per_anchor {
             if set.is_empty() {
                 continue;
             }
             for &b in &set {
-                *bridge_refs.entry(b).or_insert(0) += 1;
+                *self.bridge_refs.entry(b).or_insert(0) += 1;
             }
-            contrib.insert(u, set);
+            self.contrib.insert(u, set);
         }
-        let net = Self { udg, mis, contrib, bridge_refs, threads: nthreads.max(1) };
-        net.debug_check_against_global();
-        net
-    }
-
-    /// Sets the worker count for repair-internal parallel sweeps. Has no
-    /// effect on results — only on how many threads a large repair's
-    /// contribution recomputation fans out over.
-    pub fn set_threads(&mut self, nthreads: usize) {
-        self.threads = nthreads.max(1);
-    }
-
-    /// The repair worker count (see [`MaintainedWcds::set_threads`]).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The current topology.
@@ -289,63 +263,36 @@ impl MaintainedWcds {
         let flipped = region::cascade_mis(g, &mut self.mis, seeds);
         let mut dirty: BTreeSet<NodeId> = seeds.iter().copied().collect();
         dirty.extend(flipped.iter().copied());
-        let ball = region::bounded_ball(g, dirty.iter().copied(), 3);
-        if ball.len() * 2 >= g.node_count() {
+        let mut ball = BallTree::default();
+        ball.fill(g, dirty.iter().copied(), 3);
+        let touched_nodes = ball.order().len();
+        let touched_edges = ball.order().iter().map(|&u| g.degree(u)).sum();
+        if touched_nodes * 2 >= g.node_count() {
             // dense repair: the ball covers most of the graph, so the
             // per-anchor diff/merge below degenerates to a global pass
             // that still pays set-diff bookkeeping per key. Rebuild the
             // contribution state wholesale with the constructor's
-            // threaded sweep instead — per-anchor sets are a pure
-            // function of (graph, MIS, anchor), so anchors outside the
-            // ball recompute to their old values and the result is
-            // identical to the incremental path (debug-asserted below).
-            let mis_vec: Vec<NodeId> = self.mis.iter().copied().collect();
-            let per_anchor =
-                crate::partition::bridge_contributions(g, &mis_vec, self.threads);
-            self.contrib.clear();
-            self.bridge_refs.clear();
-            for (u, set) in per_anchor {
-                if set.is_empty() {
-                    continue;
-                }
-                for &b in &set {
-                    *self.bridge_refs.entry(b).or_insert(0) += 1;
-                }
-                self.contrib.insert(u, set);
-            }
+            // sweep instead — per-anchor sets are a pure function of
+            // (graph, MIS, anchor), so anchors outside the ball
+            // recompute to their old values and the result is identical
+            // to the incremental path (debug-asserted below).
+            self.rebuild_contributions();
         } else {
             // refresh every current-MIS node in the ball, plus every old
-            // contribution key in it (covers nodes that just left the MIS)
+            // contribution key in it (covers nodes that just left the
+            // MIS); the ball is refilled per anchor once the keys are out
             let keys: Vec<NodeId> = ball
-                .keys()
+                .order()
+                .iter()
                 .copied()
                 .filter(|k| self.mis.contains(k) || self.contrib.contains_key(k))
                 .collect();
-            // per-anchor sets are a read-only function of (graph, MIS,
-            // anchor), so they can be computed on any number of workers; the
-            // refcount/contrib merge below stays serial in ascending key
-            // order, making the result thread-count-invariant
-            let workers =
-                if keys.len() >= PARALLEL_REPAIR_THRESHOLD { self.threads } else { 1 };
-            let mut new_sets: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); keys.len()];
-            {
-                let mis = &self.mis;
-                let nodes = g.node_count();
-                wcds_graph::parallel::map_indices_with(
-                    workers,
-                    &mut new_sets,
-                    || region::BallScratch::new(nodes),
-                    |scratch, i| {
-                        let k = keys[i];
-                        if mis.contains(&k) {
-                            region::contributions_for_with(scratch, g, mis, k)
-                        } else {
-                            BTreeSet::new()
-                        }
-                    },
-                );
-            }
-            for (&k, new_set) in keys.iter().zip(new_sets) {
+            for k in keys {
+                let new_set = if self.mis.contains(&k) {
+                    region::contributions_for(&mut ball, g, |w| self.mis.contains(&w), k)
+                } else {
+                    BTreeSet::new()
+                };
                 let old_set = self.contrib.remove(&k).unwrap_or_default();
                 if new_set == old_set {
                     if !old_set.is_empty() {
@@ -392,50 +339,16 @@ impl MaintainedWcds {
         } else {
             let g = self.udg.graph();
             // stage one: how far the MIS cascade ran from the disturbed
-            // edge endpoints (no flips → nothing to measure, no scan)
-            let cascade = if flipped.is_empty() {
-                None
-            } else {
-                let targets: BTreeSet<NodeId> = flipped.iter().copied().collect();
-                let from_seeds = region::distances_to_targets(
-                    g,
-                    affected.iter().copied(),
-                    &targets,
-                    LOCALITY_SCAN_RADIUS,
-                );
-                flipped
-                    .iter()
-                    .map(|u| from_seeds.get(u).copied().unwrap_or(u32::MAX))
-                    .max()
-            };
+            // edge endpoints
+            let flips: BTreeSet<NodeId> = flipped.iter().copied().collect();
+            let cascade = farthest(g, affected.iter().copied(), &flips);
             // stage two: how far dominator-status changes sit from the
             // disturbance including those flips (a flipped MIS node is
             // itself part of the disturbance the bridge layer sees)
-            let status = if promoted.is_empty() && demoted.is_empty() && role_changes.is_empty()
-            {
-                None
-            } else {
-                let targets: BTreeSet<NodeId> = promoted
-                    .iter()
-                    .chain(&demoted)
-                    .chain(&role_changes)
-                    .copied()
-                    .collect();
-                let from_dirty = region::distances_to_targets(
-                    g,
-                    dirty.iter().copied(),
-                    &targets,
-                    LOCALITY_SCAN_RADIUS,
-                );
-                targets
-                    .iter()
-                    .map(|u| from_dirty.get(u).copied().unwrap_or(u32::MAX))
-                    .max()
-            };
-            cascade.max(status)
+            let changed: BTreeSet<NodeId> =
+                promoted.iter().chain(&demoted).chain(&role_changes).copied().collect();
+            cascade.max(farthest(g, dirty.iter().copied(), &changed))
         };
-        let touched_nodes = ball.len();
-        let touched_edges = ball.keys().map(|&u| self.udg.graph().degree(u)).sum();
         self.debug_check_against_global();
         RepairReport {
             affected,
@@ -488,6 +401,20 @@ impl MaintainedWcds {
 
     #[cfg(not(debug_assertions))]
     fn debug_check_against_global(&self) {}
+}
+
+/// Hop distance from the nearest of `sources` to the farthest of
+/// `targets`, `u32::MAX` when one lies past [`LOCALITY_SCAN_RADIUS`];
+/// `None`, without a scan, when there are no targets.
+fn farthest<I>(g: &Graph, sources: I, targets: &BTreeSet<NodeId>) -> Option<u32>
+where
+    I: IntoIterator<Item = NodeId>,
+{
+    if targets.is_empty() {
+        return None;
+    }
+    let dist = region::distances_to_targets(g, sources, targets, LOCALITY_SCAN_RADIUS);
+    targets.iter().map(|u| dist.get(u).copied().unwrap_or(u32::MAX)).max()
 }
 
 /// Drops one reference to bridge `b`, deleting the entry at zero.

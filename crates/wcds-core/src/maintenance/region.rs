@@ -1,20 +1,17 @@
 //! Region-scoped repair primitives: the 3-hop-bounded machinery behind
 //! [`super::MaintainedWcds`].
 //!
-//! Everything here works on *sparse* node sets — hash maps keyed by the
-//! touched nodes — so a repair allocates proportionally to the disturbed
-//! region, never to the whole graph (the one exception is
-//! [`BallScratch`], a dense distance array allocated once per repair
-//! and reset in `O(|ball|)`, which the per-anchor searches share).
-//! Three building blocks:
+//! The repair's region itself — the radius-3 ball around the disturbed
+//! nodes — is one multi-source fill of a [`BallTree`], the same search
+//! the bridge rule below runs once per MIS anchor. Around it:
 //!
-//! * [`bounded_ball`] — multi-source BFS truncated at a hop radius;
+//! * [`distances_to_targets`] — a radius-bounded BFS that stops at its
+//!   last target, kept in a sparse map sized by the nodes it reaches;
 //! * [`cascade_mis`] — restores the *lexicographic-first* MIS (the set
 //!   greedy `StaticId` construction produces) after an edge delta, via
 //!   an ascending-id worklist fixpoint seeded at the disturbed nodes;
-//! * [`contributions_for_with`] / [`select_additional_dominators_in`] — the
-//!   per-MIS-node share of Algorithm II's bridge rule, computed from
-//!   radius-bounded searches only.
+//! * [`contributions_for`] — the per-MIS-node share of Algorithm II's
+//!   bridge rule, computed from one radius-3 ball.
 //!
 //! Why the worklist restores exactly the greedy MIS: under a static-id
 //! ranking, `u` is black iff no neighbor `v < u` is black — a unique
@@ -26,44 +23,15 @@
 //! fixpoint reached equals a from-scratch greedy run.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
+use wcds_graph::traversal::BallTree;
 use wcds_graph::{Graph, NodeId};
-
-/// Multi-source BFS truncated at `radius` hops: hop distance from the
-/// nearest source for every node within `radius`, as a sparse map.
-/// Out-of-range sources are ignored.
-pub(crate) fn bounded_ball<I>(g: &Graph, sources: I, radius: u32) -> HashMap<NodeId, u32>
-where
-    I: IntoIterator<Item = NodeId>,
-{
-    let mut dist: HashMap<NodeId, u32> = HashMap::new();
-    let mut queue: VecDeque<(NodeId, u32)> = VecDeque::new();
-    for s in sources {
-        if s < g.node_count() && !dist.contains_key(&s) {
-            dist.insert(s, 0);
-            queue.push_back((s, 0));
-        }
-    }
-    while let Some((u, du)) = queue.pop_front() {
-        if du == radius {
-            continue;
-        }
-        for v in g.adj(u) {
-            if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(v) {
-                e.insert(du + 1);
-                queue.push_back((v, du + 1));
-            }
-        }
-    }
-    dist
-}
 
 /// Hop distances from `sources` to the nodes of `targets`, scanning no
 /// farther than `radius` — the BFS stops the moment the last target is
 /// assigned, so on dense graphs it touches a few hop layers instead of
 /// the whole `radius`-ball. Distances in the returned map are exact;
-/// targets beyond `radius` (or unreachable) are absent, exactly as
-/// they would be absent from [`bounded_ball`]'s map.
+/// targets beyond `radius` (or unreachable) are absent.
 pub(crate) fn distances_to_targets<I>(
     g: &Graph,
     sources: I,
@@ -150,31 +118,20 @@ pub(crate) fn cascade_mis(g: &Graph, mis: &mut BTreeSet<NodeId>, seeds: &[NodeId
 /// node `u`: for every MIS node `w > u` at hop distance exactly 3, the
 /// smallest neighbor `v` of `u` with `hop(v, w) == 2`. Matches
 /// `crate::algo2::select_additional_dominators` pair for pair, but runs
-/// on radius-bounded searches (`O(|ball(u, 3)|)`, not `O(n + |E|)`).
-/// The caller-provided [`BallScratch`] lets a repair that refreshes
-/// many anchors amortize its allocation.
-pub(crate) fn contributions_for_with(
-    scratch: &mut BallScratch,
-    g: &Graph,
-    mis: &BTreeSet<NodeId>,
-    u: NodeId,
-) -> BTreeSet<NodeId> {
-    contributions_for_pred(scratch, g, |w| mis.contains(&w), u)
-}
-
-/// [`contributions_for_with`] with MIS membership supplied as a
-/// predicate, so batch callers (`crate::algo2`, the partitioned
-/// construction) can pass an `O(1)` bitmap instead of a `BTreeSet`.
-pub(crate) fn contributions_for_pred(
-    scratch: &mut BallScratch,
+/// on `u`'s radius-3 ball (`O(|ball(u, 3)|)`, not `O(n + |E|)`). MIS
+/// membership is a predicate, so batch callers can pass an `O(1)`
+/// bitmap; `ball` is refilled, so a sweep over many anchors shares
+/// one allocation.
+pub(crate) fn contributions_for(
+    ball: &mut BallTree,
     g: &Graph,
     in_mis: impl Fn(NodeId) -> bool,
     u: NodeId,
 ) -> BTreeSet<NodeId> {
-    scratch.fill(g, u, 3);
+    ball.fill(g, [u], 3);
     let mut out = BTreeSet::new();
-    for &w in &scratch.visited {
-        if scratch.dist.get(w).copied() != Some(3) || w <= u || !in_mis(w) {
+    for &w in ball.order() {
+        if ball.hop(w) != Some(3) || w <= u || !in_mis(w) {
             continue;
         }
         // the smallest v ∈ N(u) with hop(v, w) == 2; since hop(u, w) = 3
@@ -194,60 +151,6 @@ pub(crate) fn contributions_for_pred(
     out
 }
 
-/// Reusable dense scratch for the per-anchor radius-bounded searches of
-/// one repair: a distance array reset through the visited list, so each
-/// search costs `O(|ball|)` after a single `O(n)` allocation. The one
-/// deliberate exception to this module's sparse-map convention — a
-/// repair refreshes a few dozen anchors over heavily overlapping balls,
-/// where per-anchor hash maps dominated the repair's running time on
-/// dense graphs.
-pub(crate) struct BallScratch {
-    /// Hop distance per node; `u32::MAX` = not reached by the current
-    /// search.
-    dist: Vec<u32>,
-    /// Nodes reached by the current search, in BFS order.
-    visited: Vec<NodeId>,
-    queue: VecDeque<NodeId>,
-}
-
-impl BallScratch {
-    pub(crate) fn new(n: usize) -> Self {
-        Self { dist: vec![u32::MAX; n], visited: Vec::new(), queue: VecDeque::new() }
-    }
-
-    /// Runs a BFS ball around `source` truncated at `radius` hops;
-    /// results stay readable in `dist` / `visited` until the next call.
-    fn fill(&mut self, g: &Graph, source: NodeId, radius: u32) {
-        debug_assert_eq!(self.dist.len(), g.node_count(), "scratch sized for this graph");
-        for &v in &self.visited {
-            if let Some(d) = self.dist.get_mut(v) {
-                *d = u32::MAX;
-            }
-        }
-        self.visited.clear();
-        self.queue.clear();
-        let Some(d0) = self.dist.get_mut(source) else { return };
-        *d0 = 0;
-        self.visited.push(source);
-        self.queue.push_back(source);
-        while let Some(u) = self.queue.pop_front() {
-            let du = self.dist.get(u).copied().unwrap_or(u32::MAX);
-            if du >= radius {
-                continue;
-            }
-            for v in g.adj(u) {
-                if let Some(dv) = self.dist.get_mut(v) {
-                    if *dv == u32::MAX {
-                        *dv = du + 1;
-                        self.visited.push(v);
-                        self.queue.push_back(v);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Whether two ascending slices share an element (two-pointer sweep).
 fn sorted_intersects(mut a: &[u32], mut b: &[u32]) -> bool {
     debug_assert!(a.windows(2).all(|w| w.first() < w.last()));
@@ -262,59 +165,17 @@ fn sorted_intersects(mut a: &[u32], mut b: &[u32]) -> bool {
     false
 }
 
-/// The per-node decomposition of Algorithm II's additional-dominator
-/// selection, restricted to the MIS nodes inside `region`: each MIS node
-/// `u` in `region` maps to the bridges its 3-hop pairs select (possibly
-/// empty). Non-MIS region nodes are skipped.
-///
-/// With `region` = all nodes, the union of the returned sets equals
-/// `crate::algo2::select_additional_dominators` exactly — Algorithm II's
-/// rule is per-pair-deterministic, so it decomposes over anchors.
-pub fn select_additional_dominators_in<I>(
-    g: &Graph,
-    mis: &BTreeSet<NodeId>,
-    region: I,
-) -> BTreeMap<NodeId, BTreeSet<NodeId>>
-where
-    I: IntoIterator<Item = NodeId>,
-{
-    let mut out = BTreeMap::new();
-    let mut scratch = BallScratch::new(g.node_count());
-    for u in region {
-        if mis.contains(&u) {
-            out.insert(u, contributions_for_with(&mut scratch, g, mis, u));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algo2::{select_additional_dominators, select_additional_dominators_reference};
     use crate::mis::{greedy_mis, RankingMode};
     use wcds_geom::deploy;
-    use wcds_graph::{generators, traversal, UnitDiskGraph};
+    use wcds_graph::{generators, UnitDiskGraph};
     use wcds_rng::{ChaCha12Rng, Rng};
 
     fn lex_mis(g: &Graph) -> BTreeSet<NodeId> {
         greedy_mis(g, RankingMode::StaticId).into_iter().collect()
-    }
-
-    #[test]
-    fn bounded_ball_matches_full_bfs_within_radius() {
-        let udg = UnitDiskGraph::build(deploy::uniform(200, 6.0, 6.0, 9), 1.0);
-        let g = udg.graph();
-        for r in 0..4u32 {
-            let ball = bounded_ball(g, [0, 17, 91], r);
-            let full = traversal::multi_source_bfs(g, [0, 17, 91]);
-            for u in g.nodes() {
-                match full[u] {
-                    Some(d) if d <= r => assert_eq!(ball.get(&u), Some(&d)),
-                    _ => assert_eq!(ball.get(&u), None),
-                }
-            }
-        }
     }
 
     #[test]
@@ -370,29 +231,22 @@ mod tests {
         for seed in [3, 14, 60] {
             let udg = UnitDiskGraph::build(deploy::uniform(160, 7.0, 7.0, seed), 1.0);
             let g = udg.graph();
-            let mis_vec = greedy_mis(g, RankingMode::StaticId);
-            let mis: BTreeSet<NodeId> = mis_vec.iter().copied().collect();
-            let per_node = select_additional_dominators_in(g, &mis, g.nodes());
-            assert_eq!(per_node.len(), mis.len());
-            let union: Vec<NodeId> = per_node
-                .values()
-                .flatten()
-                .copied()
+            let mis = greedy_mis(g, RankingMode::StaticId);
+            // the per-anchor sets the maintenance engine keeps, as its
+            // constructor's sweep computes them
+            let per_anchor = crate::partition::bridge_contributions(g, &mis, 2);
+            let anchors: Vec<NodeId> = per_anchor.iter().map(|(u, _)| *u).collect();
+            assert_eq!(anchors, mis);
+            let union: Vec<NodeId> = per_anchor
+                .into_iter()
+                .flat_map(|(_, set)| set)
                 .collect::<BTreeSet<_>>()
                 .into_iter()
                 .collect();
             // against the full-BFS oracle (independent derivation) and
             // the production bounded-local path (shared machinery)
-            assert_eq!(union, select_additional_dominators_reference(g, &mis_vec));
-            assert_eq!(union, select_additional_dominators(g, &mis_vec));
+            assert_eq!(union, select_additional_dominators_reference(g, &mis));
+            assert_eq!(union, select_additional_dominators(g, &mis));
         }
-    }
-
-    #[test]
-    fn contributions_skip_non_mis_region_nodes() {
-        let g = generators::path(7);
-        let mis = lex_mis(&g);
-        let per_node = select_additional_dominators_in(&g, &mis, [1, 3, 5]);
-        assert!(per_node.is_empty(), "path MIS is the even nodes only");
     }
 }

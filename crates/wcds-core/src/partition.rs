@@ -11,7 +11,7 @@
 //!   anchors (each pair `(u, w)` is charged to its smaller endpoint),
 //!   so anchors are swept in parallel on the dependency-free thread
 //!   engine in [`wcds_graph::parallel`], each worker with its own
-//!   `BallScratch`, and the per-anchor contributions are unioned
+//!   [`BallTree`], and the per-anchor contributions are unioned
 //!   serially in anchor order.
 //!
 //! The sweep is **thread-count invariant by construction**: workers own
@@ -21,10 +21,11 @@
 //! [`select_additional_dominators`].
 
 use crate::algo2::select_additional_dominators;
-use crate::maintenance::region::{contributions_for_pred, BallScratch};
+use crate::maintenance::region::contributions_for;
 use crate::mis::{greedy_mis, RankingMode};
 use crate::{ConstructionResult, Wcds, WcdsConstruction};
 use std::collections::BTreeSet;
+use wcds_graph::traversal::BallTree;
 use wcds_graph::{parallel, Graph, NodeId, UnitDiskGraph};
 
 /// Largest input on which the construction cross-checks its threaded
@@ -106,12 +107,10 @@ impl WcdsConstruction for PartitionedTwo {
     }
 }
 
-/// Per-anchor bridge contributions, in ascending anchor order: the
-/// parallel form of
-/// [`crate::maintenance::region::select_additional_dominators_in`]
-/// restricted to MIS anchors. Each anchor's set is computed on a worker
-/// with its own [`BallScratch`]; the rule is per-pair deterministic, so
-/// the list is thread-count invariant.
+/// Per-anchor bridge contributions, in ascending anchor order: Algorithm
+/// II's bridge rule decomposed over the MIS anchors. Each anchor's set
+/// is computed on a worker with its own [`BallTree`]; the rule is
+/// per-pair deterministic, so the list is thread-count invariant.
 pub(crate) fn bridge_contributions(
     g: &Graph,
     mis: &[NodeId],
@@ -119,17 +118,10 @@ pub(crate) fn bridge_contributions(
 ) -> Vec<(NodeId, BTreeSet<NodeId>)> {
     let in_mis = g.membership(mis);
     let is_mis = |w: NodeId| in_mis.get(w).copied().unwrap_or(false);
-    parallel::map_indices(
-        nthreads,
-        mis.len(),
-        || BallScratch::new(g.node_count()),
-        |scratch, i| {
-            // i < mis.len() from map_indices, so the default never appears
-            mis.get(i)
-                .map(|&u| (u, contributions_for_pred(scratch, g, is_mis, u)))
-                .unwrap_or_default()
-        },
-    )
+    parallel::map_indices(nthreads, mis.len(), BallTree::default, |ball, i| {
+        // i < mis.len() from map_indices, so the default never appears
+        mis.get(i).map(|&u| (u, contributions_for(ball, g, is_mis, u))).unwrap_or_default()
+    })
 }
 
 #[cfg(test)]

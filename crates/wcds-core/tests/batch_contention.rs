@@ -11,8 +11,7 @@
 //! Both apply the batch exactly the way `Store::mutate_batch` does —
 //! one coalesced `apply_motion` for the whole run of moves — and assert
 //! the final state is **byte-identical** to serial replay in batch
-//! order at every engine thread count (1/2/4/8), plus the from-scratch
-//! Algorithm II oracle.
+//! order, plus the from-scratch Algorithm II oracle.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -24,7 +23,6 @@ use wcds_rng::{ChaCha12Rng, Rng};
 
 const SEED: u64 = 42;
 const RADIUS: f64 = 1.0;
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// The serial-replay oracle plus the from-scratch oracle: `net` must
 /// be byte-identical to one-at-a-time application in batch order on a
@@ -89,11 +87,9 @@ fn one_ball_batch_fully_serializes_and_matches_serial_replay() {
         })
         .collect();
 
-    for threads in THREAD_SWEEP {
-        let mut net = MaintainedWcds::with_threads(initial.clone(), RADIUS, threads);
-        net.apply_motion(&moves);
-        assert_matches_serial(&net, &initial, &moves, &format!("one-ball, {threads} threads"));
-    }
+    let mut net = MaintainedWcds::new(initial.clone(), RADIUS);
+    net.apply_motion(&moves);
+    assert_matches_serial(&net, &initial, &moves, "one-ball");
 }
 
 /// Moves in clusters far apart, each repair region disjoint from the
@@ -129,11 +125,9 @@ fn spread_batch_runs_one_wave_and_matches_serial_replay() {
         })
         .collect();
 
-    for threads in THREAD_SWEEP {
-        let mut net = MaintainedWcds::with_threads(initial.clone(), RADIUS, threads);
-        net.apply_motion(&moves);
-        assert_matches_serial(&net, &initial, &moves, &format!("spread, {threads} threads"));
-    }
+    let mut net = MaintainedWcds::new(initial.clone(), RADIUS);
+    net.apply_motion(&moves);
+    assert_matches_serial(&net, &initial, &moves, "spread");
 }
 
 /// `RepairReport::changed()` is exactly "the WCDS partition changed":
@@ -209,10 +203,9 @@ fn report_changed_iff_wcds_partition_changed() {
 }
 
 /// A long randomized drift trace applied tick-by-tick, one coalesced
-/// `apply_motion` per tick, stays exact against serial replay at every
-/// thread count.
+/// `apply_motion` per tick, stays exact against serial replay.
 #[test]
-fn randomized_drift_ticks_stay_exact_across_thread_counts() {
+fn randomized_drift_ticks_stay_exact() {
     const N: usize = 120;
     const SIDE: f64 = 5.0;
     const TICKS: usize = 12;
@@ -243,23 +236,17 @@ fn randomized_drift_ticks_stay_exact_across_thread_counts() {
         }
     }
 
-    for threads in THREAD_SWEEP {
-        let mut net = MaintainedWcds::with_threads(initial.clone(), RADIUS, threads);
-        for tick in &ticks {
-            net.apply_motion(tick);
-        }
-        assert_eq!(net.graph(), serial.graph(), "{threads} threads: CSR diverged");
-        assert_eq!(
-            io::to_text(net.graph(), Some(net.points())),
-            io::to_text(serial.graph(), Some(serial.points())),
-            "{threads} threads: export diverged"
-        );
-        let (w, sw) = (net.wcds(), serial.wcds());
-        assert_eq!(w.mis_dominators(), sw.mis_dominators(), "{threads} threads: MIS");
-        assert_eq!(
-            w.additional_dominators(),
-            sw.additional_dominators(),
-            "{threads} threads: bridges"
-        );
+    let mut net = MaintainedWcds::new(initial, RADIUS);
+    for tick in &ticks {
+        net.apply_motion(tick);
     }
+    assert_eq!(net.graph(), serial.graph(), "CSR diverged");
+    assert_eq!(
+        io::to_text(net.graph(), Some(net.points())),
+        io::to_text(serial.graph(), Some(serial.points())),
+        "export diverged"
+    );
+    let (w, sw) = (net.wcds(), serial.wcds());
+    assert_eq!(w.mis_dominators(), sw.mis_dominators(), "MIS diverged");
+    assert_eq!(w.additional_dominators(), sw.additional_dominators(), "bridges diverged");
 }

@@ -19,7 +19,7 @@
 use wcds_core::algo2::AlgorithmTwo;
 use wcds_core::maintenance::MaintainedWcds;
 use wcds_geom::{deploy, Point};
-use wcds_graph::{traversal, NodeId, UnitDiskGraph};
+use wcds_graph::{io, traversal, NodeId, UnitDiskGraph};
 use wcds_rng::{ChaCha12Rng, Rng};
 
 const SIDE: f64 = 6.0;
@@ -170,3 +170,91 @@ fn dense_churn_trace_stays_exact() {
         assert_matches_from_scratch(&net, step);
     }
 }
+
+// ---------------------------------------------------------------------
+// golden digests: every `RepairReport` field and the final state of a
+// seeded mixed trace, pinned so a change to the repair's searches must
+// report the same regions, radii and role changes
+
+/// FNV-1a (64-bit) of `text`.
+fn fnv(text: &str) -> u64 {
+    text.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// A move of `u` (a random node if `None`) to within `reach` of its
+/// position on each axis.
+fn drift(
+    net: &MaintainedWcds,
+    rng: &mut ChaCha12Rng,
+    side: f64,
+    u: Option<NodeId>,
+    reach: f64,
+) -> (NodeId, Point) {
+    let u = u.unwrap_or_else(|| rng.gen_range(0..net.graph().node_count()));
+    let p = net.points()[u];
+    let q = Point::new(
+        (p.x + (rng.gen::<f64>() - 0.5) * 2.0 * reach).clamp(0.0, side),
+        (p.y + (rng.gen::<f64>() - 0.5) * 2.0 * reach).clamp(0.0, side),
+    );
+    (u, q)
+}
+
+/// Replays a seeded mixed trace on `n` nodes at average degree about
+/// 10 — single moves, a 16-move drift batch, a join, a leave and a
+/// batch spread over the whole field — and digests every report (all
+/// fields, through `Debug`), the final export and the final WCDS.
+fn digest_mixed_trace(n: usize, seed: u64) -> u64 {
+    let side = (n as f64 * std::f64::consts::PI / 10.0).sqrt();
+    let mut net = MaintainedWcds::new(deploy::uniform(n, side, side, seed), RADIUS);
+    let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x901d);
+    let mut reports = Vec::new();
+    for _ in 0..8 {
+        let m = drift(&net, &mut rng, side, None, 0.4);
+        reports.push(net.apply_motion(&[m]));
+    }
+    let batch: Vec<(NodeId, Point)> =
+        (0..16).map(|_| drift(&net, &mut rng, side, None, 0.25)).collect();
+    reports.push(net.apply_motion(&batch));
+    reports.push(net.apply_join(Point::new(rng.gen::<f64>() * side, rng.gen::<f64>() * side)));
+    let victim = rng.gen_range(0..net.graph().node_count());
+    reports.push(net.apply_leave(victim));
+    let spread: Vec<(NodeId, Point)> = (0..net.graph().node_count())
+        .step_by(4)
+        .map(|u| drift(&net, &mut rng, side, Some(u), 0.3))
+        .collect();
+    let dense = net.apply_motion(&spread);
+    assert!(
+        dense.touched_nodes * 2 >= net.graph().node_count(),
+        "n {n}: the spread batch must take the dense rebuild ({} touched)",
+        dense.touched_nodes
+    );
+    reports.push(dense);
+    for _ in 0..4 {
+        let m = drift(&net, &mut rng, side, None, 0.4);
+        reports.push(net.apply_motion(&[m]));
+    }
+    let w = net.wcds();
+    fnv(&format!(
+        "{reports:?}\n{}\n{:?} {:?}",
+        io::to_text(net.graph(), Some(net.points())),
+        w.mis_dominators(),
+        w.additional_dominators()
+    ))
+}
+
+#[test]
+fn repair_reports_match_golden_digests() {
+    let got: Vec<String> = [(300, 5), (2000, 6)]
+        .into_iter()
+        .map(|(n, seed)| format!("n {n} seed {seed}: {:#018x}", digest_mixed_trace(n, seed)))
+        .collect();
+    let expected: Vec<String> =
+        GOLDEN.iter().map(|(name, d)| format!("{name}: {d:#018x}")).collect();
+    assert_eq!(got, expected);
+}
+
+/// Digests recorded before the repair's region and per-anchor searches
+/// moved onto `BallTree`.
+const GOLDEN: [(&str, u64); 2] =
+    [("n 300 seed 5", 0x9070951d4a6ca9ae), ("n 2000 seed 6", 0xeabd348cd981f7b0)];

@@ -50,11 +50,6 @@ impl GridIndex {
         Self { cell, len: points.len(), cells }
     }
 
-    /// The cell size this index was built with.
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
-
     /// Number of indexed points.
     pub fn len(&self) -> usize {
         self.len
@@ -251,11 +246,6 @@ impl DenseGrid {
             cursor[c] += 1;
         }
         Self { cell, min_x, min_y, gx, gy, offsets, slots }
-    }
-
-    /// The cell size this index was built with.
-    pub fn cell_size(&self) -> f64 {
-        self.cell
     }
 
     /// Number of indexed points.

@@ -31,7 +31,7 @@ pub fn threads_from(value: Option<&str>, available: usize) -> usize {
     asked.clamp(1, available.max(1))
 }
 
-/// Fills `out[i] = f(state, i)` for every index, splitting the indices
+/// Returns `[f(state, 0), …, f(state, n - 1)]`, splitting the indices
 /// into `nthreads` contiguous chunks.
 ///
 /// `make_state` runs once per worker to build reusable per-worker state
@@ -39,25 +39,25 @@ pub fn threads_from(value: Option<&str>, available: usize) -> usize {
 /// worker's chunk, in order. With `nthreads <= 1` everything runs on
 /// the calling thread — the degenerate case is exactly the serial loop,
 /// so results never depend on the thread count.
-pub fn map_indices_with<T, S>(
+pub fn map_indices<T, S>(
     nthreads: usize,
-    out: &mut [T],
+    n: usize,
     make_state: impl Fn() -> S + Sync,
     f: impl Fn(&mut S, usize) -> T + Sync,
-) where
-    T: Send,
+) -> Vec<T>
+where
+    T: Send + Default + Clone,
     S: Send,
 {
-    let n = out.len();
+    let mut out = vec![T::default(); n];
     if nthreads <= 1 || n <= 1 {
         let mut state = make_state();
         for (i, slot) in out.iter_mut().enumerate() {
             *slot = f(&mut state, i);
         }
-        return;
+        return out;
     }
-    let nthreads = nthreads.min(n);
-    let chunk = n.div_ceil(nthreads);
+    let chunk = n.div_ceil(nthreads.min(n));
     std::thread::scope(|scope| {
         for (c, slots) in out.chunks_mut(chunk).enumerate() {
             let make_state = &make_state;
@@ -71,21 +71,6 @@ pub fn map_indices_with<T, S>(
             });
         }
     });
-}
-
-/// [`map_indices_with`] returning a fresh `Vec` of `n` results.
-pub fn map_indices<T, S>(
-    nthreads: usize,
-    n: usize,
-    make_state: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, usize) -> T + Sync,
-) -> Vec<T>
-where
-    T: Send + Default + Clone,
-    S: Send,
-{
-    let mut out = vec![T::default(); n];
-    map_indices_with(nthreads, &mut out, make_state, f);
     out
 }
 

@@ -64,16 +64,20 @@ pub fn bfs_tree(g: &Graph, source: NodeId) -> (Vec<Option<u32>>, Vec<Option<Node
 const UNSEEN: u32 = u32::MAX;
 
 /// A reusable [`bfs_tree`] truncated at a radius: the ball of nodes
-/// within `radius` hops of one source, with their hops, parents and
-/// visit order.
+/// within `radius` hops of a set of sources, with their hops, parents
+/// and visit order.
 ///
-/// Hops and parents are **identical** to the full tree's for every node
-/// in the ball: the frontier is expanded in the same FIFO order,
-/// neighbours in adjacency order, and a node keeps the first parent that
-/// discovers it. Consumers that only inspect a bounded ball — the
-/// backbone router's 3-hop dominator links, the broadcast plan's
-/// spanning tree — fill one `BallTree` per dominator and read only the
-/// ball's members from [`order`](Self::order).
+/// Every 3-hop search in the workspace fills one: the backbone router's
+/// dominator links and the broadcast plan's spanning tree (one source
+/// per dominator), Algorithm II's bridge rule (one source per MIS
+/// anchor), a maintenance repair's region (every disturbed node at once)
+/// and the heads a router patch refreshes (every spanner-delta endpoint
+/// at once). With one source, hops and parents are **identical** to the
+/// full tree's for every node in the ball: the frontier is expanded in
+/// the same FIFO order, neighbours in adjacency order, and a node keeps
+/// the first parent that discovers it. With several, the sources are
+/// the first layer in the order given (a repeated source counts once),
+/// and each hop is the distance to the nearest source.
 ///
 /// The arrays are allocated once, grown to the largest graph filled so
 /// far, and each [`fill`](Self::fill) resets only the previous ball
@@ -87,99 +91,105 @@ const UNSEEN: u32 = u32::MAX;
 ///
 /// let g = generators::path(6);
 /// let mut ball = BallTree::default();
-/// ball.fill(&g, 2, 2);
+/// ball.fill(&g, [2], 2);
 /// assert_eq!(ball.order(), &[2, 1, 3, 0, 4]);
 /// assert_eq!(ball.hop(4), Some(2));
 /// assert_eq!(ball.parent(4), Some(3));
 /// assert_eq!(ball.interior(4), Some(vec![3]));
 /// assert_eq!(ball.hop(5), None);
+/// ball.fill(&g, [0, 5], 1);
+/// assert_eq!(ball.order(), &[0, 5, 1, 4]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BallTree {
-    /// Per node, its hop distance from the source, or [`UNSEEN`].
-    hop: Vec<u32>,
-    /// Per node, the node that discovered it; meaningful only inside the
-    /// ball.
-    parent: Vec<NodeId>,
-    /// The ball in visit order, the source first; also the BFS queue.
+    /// Per node, its hop from the nearest source (or [`UNSEEN`]) and the
+    /// node that discovered it, in one slot so a probe touches one
+    /// cache line. The parent is meaningful only inside the ball.
+    slots: Vec<(u32, u32)>,
+    /// The ball in visit order, the sources first; also the BFS queue.
     order: Vec<NodeId>,
 }
 
 impl BallTree {
-    /// Replaces the ball with the nodes within `radius` hops of `source`
-    /// in `g`.
+    /// Replaces the ball with the nodes within `radius` hops of the
+    /// nearest of `sources` in `g`.
     ///
     /// # Panics
     ///
-    /// Panics if `source` is out of range.
-    pub fn fill(&mut self, g: &Graph, source: NodeId, radius: u32) {
+    /// Panics if a source is out of range.
+    pub fn fill<I>(&mut self, g: &Graph, sources: I, radius: u32)
+    where
+        I: IntoIterator<Item = NodeId>,
+    {
         let n = g.node_count();
-        assert!(source < n, "source {source} out of range for {n} nodes");
         for &v in &self.order {
-            if let Some(h) = self.hop.get_mut(v) {
-                *h = UNSEEN;
+            if let Some(slot) = self.slots.get_mut(v) {
+                slot.0 = UNSEEN;
             }
         }
         self.order.clear();
-        if self.hop.len() < n {
-            self.hop.resize(n, UNSEEN);
-            self.parent.resize(n, 0);
+        if self.slots.len() < n {
+            self.slots.resize(n, (UNSEEN, 0));
         }
-        if let Some(h) = self.hop.get_mut(source) {
-            *h = 0;
-            self.order.push(source);
+        for s in sources {
+            assert!(s < n, "source {s} out of range for {n} nodes");
+            if let Some(slot) = self.slots.get_mut(s) {
+                if slot.0 == UNSEEN {
+                    slot.0 = 0;
+                    self.order.push(s);
+                }
+            }
         }
         let mut next = 0;
         while let Some(&u) = self.order.get(next) {
             next += 1;
-            let du = self.hop.get(u).copied().unwrap_or(UNSEEN);
+            let du = self.slots.get(u).map_or(UNSEEN, |slot| slot.0);
             // FIFO order is hop-monotone: the rest of the queue is
             // already on the rim
             if du >= radius {
                 break;
             }
             for v in g.adj(u) {
-                match (self.hop.get_mut(v), self.parent.get_mut(v)) {
-                    (Some(hv), Some(pv)) if *hv == UNSEEN => {
-                        *hv = du + 1;
-                        *pv = u;
+                if let Some(slot) = self.slots.get_mut(v) {
+                    if slot.0 == UNSEEN {
+                        *slot = (du + 1, u as u32);
                         self.order.push(v);
                     }
-                    _ => {}
                 }
             }
         }
     }
 
-    /// The ball in BFS visit order: the source, then each hop layer in
+    /// The ball in BFS visit order: the sources, then each hop layer in
     /// discovery order. Empty before the first fill.
     pub fn order(&self) -> &[NodeId] {
         &self.order
     }
 
-    /// Hop distance of `v` from the source, `None` outside the ball.
+    /// Hop distance of `v` from the nearest source, `None` outside the
+    /// ball.
     pub fn hop(&self, v: NodeId) -> Option<u32> {
-        self.hop.get(v).copied().filter(|&h| h != UNSEEN)
+        self.slots.get(v).map(|slot| slot.0).filter(|&h| h != UNSEEN)
     }
 
-    /// The tree parent of `v`: `None` for the source and outside the
+    /// The tree parent of `v`: `None` for a source and outside the
     /// ball.
     pub fn parent(&self, v: NodeId) -> Option<NodeId> {
         match self.hop(v)? {
             0 => None,
-            _ => self.parent.get(v).copied(),
+            _ => self.slots.get(v).map(|slot| slot.1 as NodeId),
         }
     }
 
-    /// The nodes strictly between the source and `v` on the tree path,
-    /// in path order (empty for the source and its neighbours); `None`
-    /// outside the ball.
+    /// The nodes strictly between `v`'s source and `v` on the tree
+    /// path, in path order (empty for a source and its neighbours);
+    /// `None` outside the ball.
     pub fn interior(&self, v: NodeId) -> Option<Vec<NodeId>> {
         let hops = self.hop(v)?;
         let mut path = Vec::new();
         let mut cur = v;
         for _ in 1..hops {
-            cur = self.parent.get(cur).copied()?;
+            cur = self.slots.get(cur)?.1 as NodeId;
             path.push(cur);
         }
         path.reverse();
@@ -388,7 +398,7 @@ mod tests {
                 let mut full = SearchScratch::for_graph(g);
                 full.bfs(g, source);
                 for radius in 0..5 {
-                    ball.fill(g, source, radius);
+                    ball.fill(g, [source], radius);
                     let within = |v: &NodeId| full_d[*v].is_some_and(|d| d <= radius);
                     let expected: Vec<NodeId> =
                         full.visit_order().iter().copied().filter(within).collect();
@@ -416,7 +426,48 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn ball_tree_rejects_an_out_of_range_source() {
-        BallTree::default().fill(&generators::path(3), 3, 2);
+        BallTree::default().fill(&generators::path(3), [0, 3], 2);
+    }
+
+    #[test]
+    fn multi_source_ball_matches_multi_source_bfs_within_radius() {
+        // one scratch for every fill, alternating a larger and a smaller
+        // graph, so a hop left over from an earlier ball shows; sources
+        // come unsorted and repeated
+        let big = generators::connected_gnp(120, 0.04, 23);
+        let small = generators::connected_gnp(40, 0.1, 9);
+        let mut ball = BallTree::default();
+        let source_sets: [&[NodeId]; 4] = [&[0, 17, 91], &[5, 5, 12, 5], &[39, 2, 110, 2], &[]];
+        for (sources, g) in source_sets.iter().flat_map(|&s| [(s, &big), (s, &small)]) {
+            let sources: Vec<NodeId> =
+                sources.iter().copied().filter(|&s| s < g.node_count()).collect();
+            let mut seen = std::collections::HashSet::new();
+            let distinct: Vec<NodeId> =
+                sources.iter().copied().filter(|&s| seen.insert(s)).collect();
+            let full = multi_source_bfs(g, sources.iter().copied());
+            for radius in 0..5 {
+                ball.fill(g, sources.iter().copied(), radius);
+                let ctx = format!("n {} sources {sources:?} r {radius}", g.node_count());
+                let order = ball.order();
+                assert_eq!(&order[..distinct.len()], &distinct[..], "{ctx}: sources first");
+                assert!(order.windows(2).all(|w| ball.hop(w[0]) <= ball.hop(w[1])), "{ctx}");
+                let mut members = order.to_vec();
+                members.sort_unstable();
+                members.dedup();
+                assert_eq!(members.len(), order.len(), "{ctx}: a node visited twice");
+                let within = |v: usize| full.get(v).copied().flatten().filter(|&d| d <= radius);
+                assert_eq!(order.len(), (0..big.node_count()).filter_map(within).count(), "{ctx}");
+                for v in 0..big.node_count() {
+                    assert_eq!(ball.hop(v), within(v), "{ctx} node {v}");
+                    if let Some(p) = ball.parent(v) {
+                        assert!(g.has_edge(p, v), "{ctx} node {v}: parent not adjacent");
+                        assert_eq!(ball.hop(p).map(|d| d + 1), within(v), "{ctx} node {v}");
+                    } else {
+                        assert!(within(v).is_none_or(|d| d == 0), "{ctx} node {v}: no parent");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -113,7 +113,7 @@ impl BroadcastPlan {
         let mut adopted = Vec::new();
         while joined < doms.len() {
             let Some(cur) = frontier.pop_front() else { break };
-            ball.fill(spanner, cur, 3);
+            ball.fill(spanner, [cur], 3);
             adopted.clear();
             adopted.extend(ball.order().iter().copied().filter(|&v| pending.get(v) == Some(&true)));
             // the ball lists them by hop; the tree adopts them by id

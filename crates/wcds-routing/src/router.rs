@@ -175,18 +175,16 @@ impl BackboneRouter {
         );
 
         // heads beyond spanner distance 3 of the spanner delta keep
-        // their links verbatim
+        // their links verbatim; the rest are the heads in the radius-3
+        // ball around its endpoints
         let mut dom_links = self.dom_links.clone();
-        if !s_added.is_empty() || !s_removed.is_empty() {
-            let s_endpoints =
-                s_added.iter().chain(&s_removed).flat_map(|&(a, b)| [a, b]);
-            let dist = traversal::multi_source_bfs(&spanner, s_endpoints);
-            let mut ball = BallTree::default();
-            for &h in heads {
-                if dist[h].is_some_and(|d| d <= 3) {
-                    dom_links.insert(h, head_links(&mut ball, &spanner, &is_head, h));
-                }
-            }
+        let mut ball = BallTree::default();
+        let s_endpoints = s_added.iter().chain(&s_removed).flat_map(|&(a, b)| [a, b]);
+        ball.fill(&spanner, s_endpoints, 3);
+        let stale: Vec<NodeId> =
+            ball.order().iter().copied().filter(|&v| is_head.get(v) == Some(&true)).collect();
+        for h in stale {
+            dom_links.insert(h, head_links(&mut ball, &spanner, &is_head, h));
         }
         let (heads, hops) = FirstHops::index(&dom_links);
 
@@ -320,7 +318,7 @@ fn head_links(
     is_head: &[bool],
     h: NodeId,
 ) -> BTreeMap<NodeId, Vec<NodeId>> {
-    ball.fill(spanner, h, 3);
+    ball.fill(spanner, [h], 3);
     // inserted one by one: collecting would buffer and sort a `Vec` per
     // head, which raised the service set-up's peak RSS
     let mut links = BTreeMap::new();

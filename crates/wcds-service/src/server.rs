@@ -119,11 +119,6 @@ impl ServerHandle {
         &self.shared.store
     }
 
-    /// Whether shutdown has been requested (by wire or locally).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Requests shutdown and waits for every thread to exit.
     pub fn shutdown(mut self) {
         self.shared.trigger_shutdown();

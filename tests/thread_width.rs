@@ -43,8 +43,9 @@ fn outputs(points: &[Point]) -> Outputs {
     let spanner = AlgorithmTwo::new().construct(g).spanner;
     let mut net = MaintainedWcds::new(points.to_vec(), RADIUS);
     let maintained = net.wcds();
-    // a batch spread over the whole graph takes the dense rebuild, and one
-    // around node 0 the per-anchor refresh; both fan out over the workers
+    // a batch spread over the whole graph takes the dense rebuild, which
+    // reruns the constructor's sweep over the workers; one around node 0
+    // takes the per-anchor refresh, which runs on the calling thread
     let spread: Vec<(NodeId, Point)> = (0..N)
         .step_by(6)
         .map(|u| {
