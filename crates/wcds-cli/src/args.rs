@@ -341,10 +341,15 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                 other => return Err(CliError(format!("unknown model `{other}`"))),
             };
             let n = parse_num(required(&mut s, "--n")?, "--n")?;
-            let side = match s.value_of("--side") {
+            let side: f64 = match s.value_of("--side") {
                 Some(v) => parse_num(v, "--side")?,
                 None => 8.0,
             };
+            // a NaN, infinite or non-positive side writes points the
+            // parser rejects, or a deployment outside the first quadrant
+            if !(side.is_finite() && side > 0.0) {
+                return Err(CliError(format!("--side must be finite and positive, got {side}")));
+            }
             let seed = match s.value_of("--seed") {
                 Some(v) => parse_num(v, "--seed")?,
                 None => 0,

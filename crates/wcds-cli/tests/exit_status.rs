@@ -18,6 +18,10 @@ fn usage_errors_exit_two_and_failed_commands_exit_one() {
     assert_eq!(exit_code(&[]), Some(0), "no arguments print the help");
     assert_eq!(exit_code(&["bogus"]), Some(2), "unknown subcommand");
     assert_eq!(exit_code(&["generate", "--bogus"]), Some(2), "unknown flag");
+    for side in ["nan", "inf", "0", "-3"] {
+        let args = ["generate", "--model", "uniform", "--n", "5", "--side", side, "-o", "-"];
+        assert_eq!(exit_code(&args), Some(2), "--side {side}");
+    }
     let missing = std::env::temp_dir()
         .join(format!("wcds-exit-status-{}", std::process::id()))
         .join("missing.graph");

@@ -252,6 +252,56 @@ fn measure_source(
     p
 }
 
+/// The sweep behind [`DilationReport::measure_with_threads`] (every
+/// source, pairs `(u, v > u)`) and [`DilationEstimate::sampled_with_threads`]
+/// (sampled sources, `all_pairs`): an exact prepass, frozen thresholds,
+/// the parallel rest, and the serial fold in source order.
+///
+/// # Panics
+///
+/// As [`DilationReport::measure`].
+fn sweep(
+    g: &Graph,
+    spanner: &Graph,
+    points: &[Point],
+    sources: &[NodeId],
+    all_pairs: bool,
+    nthreads: usize,
+) -> DilationReport {
+    assert_eq!(g.node_count(), spanner.node_count(), "node count mismatch");
+    assert_eq!(points.len(), g.node_count(), "one point per node required");
+    let n = g.node_count();
+    // Shared per-graph precomputation, read-only across workers: edge
+    // lengths aligned to CSR slots, so the relaxation loops run without
+    // sqrt or point loads.
+    let len_g = CsrWeights::euclidean(g, points);
+    let len_s = CsrWeights::euclidean(spanner, points);
+    let scratch = || (SearchScratch::new(n), SearchScratch::new(n), Vec::new());
+    let run = |(sg, ss, needed): &mut (SearchScratch, SearchScratch, Vec<_>), u, thr| {
+        measure_source(g, spanner, points, &len_g, &len_s, sg, ss, needed, u, thr, all_pairs)
+    };
+
+    // Exact pre-pass: the first few sources run unfiltered, and the
+    // worst ratio/slack they achieve become certified thresholds for
+    // every later source (see [`GeoThresholds`]). Its partials join the
+    // fold like any other source's.
+    let (prepass, rest) = sources.split_at(sources.len().min(GEO_PREPASS_SOURCES));
+    let mut thr = GeoThresholds::default();
+    let mut partials = Vec::with_capacity(sources.len());
+    {
+        let mut state = scratch();
+        for &u in prepass {
+            let p = run(&mut state, u, GeoThresholds::default());
+            thr.absorb(&p);
+            partials.push(p);
+        }
+    }
+    partials.extend(parallel::map_indices(nthreads, rest.len(), scratch, |state, i| {
+        run(state, rest[i], thr)
+    }));
+    fold_partials(partials)
+}
+
 /// Dilation measurements of a spanner against its base graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DilationReport {
@@ -296,67 +346,8 @@ impl DilationReport {
         points: &[Point],
         nthreads: usize,
     ) -> Self {
-        assert_eq!(g.node_count(), spanner.node_count(), "node count mismatch");
-        assert_eq!(points.len(), g.node_count(), "one point per node required");
-        let n = g.node_count();
-        // Shared per-graph precomputation, read-only across workers:
-        // edge lengths aligned to CSR slots, so the relaxation loops
-        // run without sqrt or point loads.
-        let len_g = CsrWeights::euclidean(g, points);
-        let len_s = CsrWeights::euclidean(spanner, points);
-
-        // Exact pre-pass: the first few sources run unfiltered, and the
-        // worst ratio/slack they achieve become certified thresholds
-        // for every later source (see [`GeoThresholds`]). Its partials
-        // join the fold like any other source's.
-        let prepass = n.min(GEO_PREPASS_SOURCES);
-        let mut thr = GeoThresholds::default();
-        let mut partials = Vec::with_capacity(n);
-        {
-            let mut sg = SearchScratch::new(n);
-            let mut ss = SearchScratch::new(n);
-            let mut needed = Vec::new();
-            for u in 0..prepass {
-                let p = measure_source(
-                    g,
-                    spanner,
-                    points,
-                    &len_g,
-                    &len_s,
-                    &mut sg,
-                    &mut ss,
-                    &mut needed,
-                    u,
-                    GeoThresholds::default(),
-                    false,
-                );
-                thr.absorb(&p);
-                partials.push(p);
-            }
-        }
-
-        partials.extend(parallel::map_indices(
-            nthreads,
-            n - prepass,
-            || (SearchScratch::new(n), SearchScratch::new(n), Vec::new()),
-            |(sg, ss, needed), i| {
-                measure_source(
-                    g,
-                    spanner,
-                    points,
-                    &len_g,
-                    &len_s,
-                    sg,
-                    ss,
-                    needed,
-                    prepass + i,
-                    thr,
-                    false,
-                )
-            },
-        ));
-
-        fold_partials(partials)
+        let sources: Vec<NodeId> = (0..g.node_count()).collect();
+        sweep(g, spanner, points, &sources, false, nthreads)
     }
 
     /// The maximum topological dilation ratio (1.0 when no pair
@@ -469,8 +460,6 @@ impl DilationEstimate {
                 pair_coverage: 1.0,
             };
         }
-        assert_eq!(g.node_count(), spanner.node_count(), "node count mismatch");
-        assert_eq!(points.len(), g.node_count(), "one point per node required");
         let k = max_sources.max(1);
         // Even spread over the id space, rotated by the seed: `i·n/k`
         // are k distinct ids (n > k), and adding a constant offset mod n
@@ -479,51 +468,13 @@ impl DilationEstimate {
         let off = (seed % n as u64) as usize;
         let mut sources: Vec<NodeId> = (0..k).map(|i| (off + i * n / k) % n).collect();
         sources.sort_unstable();
-
-        let len_g = CsrWeights::euclidean(g, points);
-        let len_s = CsrWeights::euclidean(spanner, points);
-        let prepass = sources.len().min(GEO_PREPASS_SOURCES);
-        let mut thr = GeoThresholds::default();
-        let mut partials = Vec::with_capacity(sources.len());
-        {
-            let mut sg = SearchScratch::new(n);
-            let mut ss = SearchScratch::new(n);
-            let mut needed = Vec::new();
-            for &u in &sources[..prepass] {
-                let p = measure_source(
-                    g,
-                    spanner,
-                    points,
-                    &len_g,
-                    &len_s,
-                    &mut sg,
-                    &mut ss,
-                    &mut needed,
-                    u,
-                    GeoThresholds::default(),
-                    true,
-                );
-                thr.absorb(&p);
-                partials.push(p);
-            }
-        }
-        let rest = &sources[prepass..];
-        partials.extend(parallel::map_indices(
-            nthreads,
-            rest.len(),
-            || (SearchScratch::new(n), SearchScratch::new(n), Vec::new()),
-            |(sg, ss, needed), i| {
-                measure_source(
-                    g, spanner, points, &len_g, &len_s, sg, ss, needed, rest[i], thr, true,
-                )
-            },
-        ));
+        let report = sweep(g, spanner, points, &sources, true, nthreads);
 
         let pairs = |m: usize| m.saturating_sub(1) * m / 2;
         let total = pairs(n);
         let covered = total - pairs(n - k);
         Self {
-            report: fold_partials(partials),
+            report,
             sources_sampled: k,
             node_count: n,
             exact: false,
@@ -553,7 +504,7 @@ pub fn lemma6_worst_slack(
         || (SearchScratch::new(n), SearchScratch::new(n)),
         |(sg, ss), u| {
             sg.bfs_covering(g, u, u);
-            sg.dijkstra_weighted(g, &len_g, u);
+            sg.dijkstra_weighted_radius(g, &len_g, u, f64::INFINITY);
             ss.min_hop_max_length_covering(spanner, &len_s, u, u);
             let mut worst: Option<f64> = None;
             for v in (u + 1)..n {

@@ -15,10 +15,14 @@
 //! * [`DynamicUdg`] — the same state kept mutable: moves/joins/leaves
 //!   produce `O(Δ)` edge deltas against a live spatial index and splice
 //!   the CSR instead of rebuilding it;
-//! * [`traversal`] — BFS/DFS, hop distances, connected components;
+//! * [`traversal`] — BFS, hop distances, connected components, and the
+//!   reusable (optionally radius-bounded) search tree
+//!   [`traversal::BallTree`] that every hop search outside the dilation
+//!   sweep fills;
 //! * [`shortest_path`] — Dijkstra, hop-count and geometric-length APSP;
-//! * [`SearchScratch`] — reusable epoch-stamped search state so
-//!   all-sources sweeps run without per-source allocation;
+//! * [`SearchScratch`] — the dilation sweep's reusable epoch-stamped
+//!   search state (hop, min-hop max-length and Dijkstra kernels), so
+//!   its per-source searches run without per-source allocation;
 //! * [`parallel`] — a dependency-free per-source parallel engine whose
 //!   width `WCDS_THREADS` picks at run time (1 when unset);
 //! * [`spanning`] — rooted BFS spanning trees with levels (the paper's
@@ -47,9 +51,10 @@ pub mod metrics;
 mod graph;
 pub mod io;
 pub mod parallel;
-// the one sanctioned `unsafe` island in the workspace: bounds-check-free
-// CSR kernels whose index invariants are proved at construction
-// (workspace policy denies unsafe_code everywhere else — DESIGN.md §9)
+// one of the workspace's two sanctioned `unsafe` islands (the other is
+// `wcds-service::sys`): the dilation sweep's bounds-check-free CSR
+// kernels, whose index invariants are proved at construction (workspace
+// policy denies unsafe_code everywhere else — DESIGN.md §9.6)
 #[allow(unsafe_code)]
 mod scratch;
 pub mod shortest_path;

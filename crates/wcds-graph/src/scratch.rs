@@ -1,12 +1,14 @@
-//! Reusable, epoch-stamped search state for all-sources sweeps.
+//! Reusable, epoch-stamped search state for the dilation sweep.
 //!
-//! Per-source BFS/Dijkstra over the same graph dominates the workspace's
-//! measurement paths (dilation, eccentricity, APSP). Allocating and
-//! zeroing fresh `Vec`s for every source costs `O(n)` per source even
-//! when a search touches a handful of nodes; [`SearchScratch`] keeps the
-//! arrays alive across sources and resets them by bumping an **epoch
-//! stamp** instead of clearing — a per-source reset is `O(1)`, and only
-//! entries actually written during a search are ever observable.
+//! The all-sources dilation sweep (`wcds_core::dilation`) runs a hop
+//! search, a min-hop max-length pass and a Dijkstra per source over the
+//! same two graphs. Allocating and zeroing fresh `Vec`s for every source
+//! costs `O(n)` per source even when a search stops early;
+//! [`SearchScratch`] keeps the arrays alive across sources and resets
+//! the hop array by bumping an **epoch stamp** instead of clearing — a
+//! per-source reset is `O(1)`, and only entries actually written during
+//! a search are ever observable. Every other hop search in the
+//! workspace fills a [`crate::traversal::BallTree`].
 //!
 //! Two further hot-path choices, both invisible through the API:
 //!
@@ -63,10 +65,6 @@ impl<T: Copy + Default> EpochArray<T> {
         self.slots.len()
     }
 
-    fn resize(&mut self, n: usize) {
-        self.slots.resize(n, (0, T::default()));
-    }
-
     /// Invalidates every entry. `O(1)` except once every `u32::MAX`
     /// resets, when the stamps must be rewound.
     fn reset(&mut self) {
@@ -90,12 +88,6 @@ impl<T: Copy + Default> EpochArray<T> {
         let (stamp, v) = self.slots[i];
         (stamp == self.epoch).then_some(v)
     }
-
-    #[inline]
-    fn is_set(&self, i: usize) -> bool {
-        self.slots[i].0 == self.epoch
-    }
-
 }
 
 /// A max-heap entry ordered so the smallest distance pops first.
@@ -187,10 +179,11 @@ const RING: usize = 64;
 /// to a fixed node count.
 ///
 /// One scratch concurrently holds the result of one hop search
-/// ([`SearchScratch::bfs`] / [`SearchScratch::min_hop_max_length`]) and
-/// one length search ([`SearchScratch::dijkstra`] /
-/// [`SearchScratch::geometric`] / the DAG pass of
-/// `min_hop_max_length`); starting a new search of either kind
+/// ([`SearchScratch::bfs_covering`] /
+/// [`SearchScratch::min_hop_max_length_covering`]) and one length
+/// search ([`SearchScratch::dijkstra`] /
+/// [`SearchScratch::dijkstra_weighted_radius`] / the DAG pass of
+/// `min_hop_max_length_covering`); starting a new search of either kind
 /// invalidates only that kind's previous result.
 ///
 /// # Examples
@@ -200,10 +193,10 @@ const RING: usize = 64;
 ///
 /// let g = Graph::from_edges(4, [(0, 1), (1, 2)]);
 /// let mut s = SearchScratch::for_graph(&g);
-/// s.bfs(&g, 0);
+/// s.bfs_covering(&g, 0, 0);
 /// assert_eq!(s.hop(2), Some(2));
 /// assert_eq!(s.hop(3), None);
-/// s.bfs(&g, 2); // O(1) reset, arrays reused
+/// s.bfs_covering(&g, 2, 0); // O(1) reset, arrays reused
 /// assert_eq!(s.hop(0), Some(2));
 /// ```
 #[derive(Debug, Clone)]
@@ -216,11 +209,11 @@ pub struct SearchScratch {
     /// sequential `fill(INFINITY)` reset costs ~`n` streamed bytes —
     /// noise next to the search it precedes.
     lens: Vec<f64>,
-    /// BFS queue; after a search it holds the visit order (sorted by
-    /// layer, ties by discovery order).
+    /// FIFO queue of the hop searches (sorted by layer, ties by
+    /// discovery order).
     queue: Vec<NodeId>,
     heap: BinaryHeap<HeapEntry>,
-    /// Calendar-queue ring for [`SearchScratch::dijkstra_weighted`].
+    /// Calendar-queue ring for [`SearchScratch::dijkstra_weighted_radius`].
     buckets: Vec<Vec<(f64, u32)>>,
     /// Drain buffer: the current bucket is swapped out and expanded as a
     /// batch, so the stale checks of a whole batch are independent loads
@@ -246,35 +239,18 @@ impl SearchScratch {
         Self::new(g.node_count())
     }
 
-    /// Grows the scratch to cover `n` nodes (no-op if already large
-    /// enough). Invalidates previous results.
-    pub fn ensure(&mut self, n: usize) {
-        if self.hops.len() < n {
-            self.hops.resize(n);
-            self.lens.resize(n, f64::INFINITY);
-        }
-        self.hops.reset();
-        self.lens.fill(f64::INFINITY);
-    }
-
-    /// Single-source BFS; afterwards [`SearchScratch::hop`] reports hop
-    /// distances and [`SearchScratch::visit_order`] the traversal order.
-    pub fn bfs(&mut self, g: &Graph, source: NodeId) {
-        self.multi_bfs(g, std::iter::once(source));
-    }
-
-    /// [`SearchScratch::bfs`] that may stop early once every *reachable*
+    /// Single-source BFS that may stop early once every *reachable*
     /// node with id `>= min_id` has its final hop distance (a BFS hop is
-    /// final at discovery). All-sources pair sweeps that consume only
-    /// pairs `(source, v ≥ min_id)` skip the tail of each traversal;
-    /// passing `min_id = 0` still requires discovering every reachable
-    /// node and so degenerates to a full BFS.
+    /// final at discovery); afterwards [`SearchScratch::hop`] reports
+    /// hop distances. All-sources pair sweeps that consume only pairs
+    /// `(source, v ≥ min_id)` skip the tail of each traversal; passing
+    /// `min_id = 0` still requires discovering every reachable node and
+    /// so degenerates to a full BFS.
     ///
     /// After an early stop, hops of nodes `< min_id` may be missing even
-    /// when reachable, and [`SearchScratch::visit_order`] covers only
-    /// the discovered prefix. `hop(v) == None` for `v >= min_id` still
-    /// means exactly "unreachable" — the stop happens only once no such
-    /// node is outstanding.
+    /// when reachable. `hop(v) == None` for `v >= min_id` still means
+    /// exactly "unreachable" — the stop happens only once no such node
+    /// is outstanding.
     pub fn bfs_covering(&mut self, g: &Graph, source: NodeId, min_id: NodeId) {
         assert!(g.node_count() <= self.hops.len(), "scratch too small");
         let n = g.node_count();
@@ -285,51 +261,6 @@ impl SearchScratch {
         let mut remaining = n - min_id.min(n) - usize::from(source >= min_id);
         if remaining == 0 {
             return;
-        }
-        let (offsets, targets) = g.csr32();
-        let epoch = self.hops.epoch;
-        let slots = self.hops.slots.as_mut_slice();
-        let queue = &mut self.queue;
-        let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            // SAFETY: as in `multi_bfs` — queue entries and CSR targets
-            // are node ids `< n <= slots.len()`, offsets bound targets.
-            let du = unsafe { slots.get_unchecked(u).1 };
-            let (s, e) = unsafe {
-                (*offsets.get_unchecked(u) as usize, *offsets.get_unchecked(u + 1) as usize)
-            };
-            for i in s..e {
-                let v = unsafe { *targets.get_unchecked(i) } as usize;
-                let slot = unsafe { slots.get_unchecked_mut(v) };
-                if slot.0 != epoch {
-                    *slot = (epoch, du + 1);
-                    queue.push(v);
-                    if v >= min_id {
-                        remaining -= 1;
-                        if remaining == 0 {
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Multi-source BFS from the nearest of several sources.
-    pub fn multi_bfs<I>(&mut self, g: &Graph, sources: I)
-    where
-        I: IntoIterator<Item = NodeId>,
-    {
-        assert!(g.node_count() <= self.hops.len(), "scratch too small");
-        self.hops.reset();
-        self.queue.clear();
-        for s in sources {
-            if !self.hops.is_set(s) {
-                self.hops.set(s, 0);
-                self.queue.push(s);
-            }
         }
         let (offsets, targets) = g.csr32();
         let epoch = self.hops.epoch;
@@ -353,30 +284,29 @@ impl SearchScratch {
                 if slot.0 != epoch {
                     *slot = (epoch, du + 1);
                     queue.push(v);
+                    if v >= min_id {
+                        remaining -= 1;
+                        if remaining == 0 {
+                            return;
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// Hop distance of `v` from the last BFS's source(s), `None` if
+    /// Hop distance of `v` from the last hop search's source, `None` if
     /// unreachable.
     #[inline]
     pub fn hop(&self, v: NodeId) -> Option<u32> {
         self.hops.get(v)
     }
 
-    /// Nodes reached by the last hop search, in visit order (layer by
-    /// layer, discovery order within a layer).
-    #[inline]
-    pub fn visit_order(&self) -> &[NodeId] {
-        &self.queue
-    }
-
     /// Dijkstra from `source` over non-negative symmetric edge weights;
     /// afterwards [`SearchScratch::len_of`] reports distances.
     ///
     /// For repeated sweeps over the same graph, precompute the weights
-    /// once and use the faster [`SearchScratch::dijkstra_weighted`].
+    /// once and use the faster [`SearchScratch::dijkstra_weighted_radius`].
     ///
     /// # Panics
     ///
@@ -407,15 +337,11 @@ impl SearchScratch {
     }
 
     /// Dijkstra over weights precomputed with [`CsrWeights`], using the
-    /// calendar queue. Produces bit-identical distances to
+    /// calendar queue, that may stop once every node within distance
+    /// `radius` of the source is settled. A full run (`radius =
+    /// f64::INFINITY`) produces bit-identical distances to
     /// [`SearchScratch::dijkstra`] with the same weights (see the module
     /// docs for why), at a fraction of the queue cost.
-    pub fn dijkstra_weighted(&mut self, g: &Graph, weights: &CsrWeights, source: NodeId) {
-        self.dijkstra_weighted_radius(g, weights, source, f64::INFINITY);
-    }
-
-    /// [`SearchScratch::dijkstra_weighted`] that may stop once every
-    /// node within distance `radius` of the source is settled.
     ///
     /// Distances of nodes `v` with `dist(source, v) <= radius` are
     /// **final and bit-identical** to a full run: buckets are drained in
@@ -521,50 +447,28 @@ impl SearchScratch {
         self.spill = spill;
     }
 
-    /// Dijkstra over Euclidean edge lengths: the paper's `ℓ_G(u, ·)`.
-    pub fn geometric(&mut self, g: &Graph, points: &[Point], source: NodeId) {
-        self.dijkstra(g, source, |u, v| points[u].distance(points[v]));
-    }
-
-    /// For every node: the **maximum** Euclidean length over all
-    /// *minimum-hop* paths from `source` (the paper's `ℓ_G'(u, ·)`).
+    /// For every node: the **maximum** length over all *minimum-hop*
+    /// paths from `source` under precomputed weights (the paper's
+    /// `ℓ_G'(u, ·)` with [`CsrWeights::euclidean`]), stopping early once
+    /// every reachable node with id `>= min_id` has final results;
+    /// `min_id = g.node_count()` never stops early. Fills both results:
+    /// hop distances (as after [`SearchScratch::bfs_covering`]) and
+    /// lengths (as after [`SearchScratch::dijkstra`]).
     ///
-    /// Fills both results: hop distances (as after
-    /// [`SearchScratch::bfs`]) and lengths (as after
-    /// [`SearchScratch::dijkstra`]). The BFS visit order doubles as the
-    /// topological order of the shortest-path DAG, so no sort is needed.
-    pub fn min_hop_max_length(&mut self, g: &Graph, points: &[Point], source: NodeId) {
-        let weights = CsrWeights::euclidean(g, points);
-        self.min_hop_max_length_weighted(g, &weights, source);
-    }
-
-    /// [`SearchScratch::min_hop_max_length`] over precomputed weights
-    /// (`ℓ_G'` generalised to arbitrary non-negative lengths).
-    ///
-    /// Runs the BFS and the DAG relaxation **fused in one pass**: when
-    /// `u` is dequeued every layer-`h(u)−1` predecessor has already been
-    /// dequeued (BFS pops whole layers in order), so `u`'s length is
-    /// final and can be propagated to layer `h(u)+1` immediately. The
-    /// relaxations happen in the same order as the two-pass version
-    /// (dequeue order = visit order, rows in CSR order), so the results
-    /// are bit-identical.
-    pub fn min_hop_max_length_weighted(
-        &mut self,
-        g: &Graph,
-        weights: &CsrWeights,
-        source: NodeId,
-    ) {
-        // min_id = n: no node qualifies for the early stop, full drain
-        self.min_hop_core(g, weights, source, g.node_count());
-    }
-
-    /// [`SearchScratch::min_hop_max_length_weighted`] that may stop
-    /// early once every reachable node with id `>= min_id` has final
-    /// results. Unlike plain BFS, the max-length value of a node is
-    /// final only when the node is **dequeued** (all its previous-layer
+    /// Unlike plain BFS, the max-length value of a node is final only
+    /// when the node is **dequeued** (all its previous-layer
     /// predecessors have relaxed it), so the stop triggers on dequeues.
     /// The same caveats as [`SearchScratch::bfs_covering`] apply to
     /// nodes `< min_id`.
+    ///
+    /// Runs the BFS and the DAG relaxation **fused in one pass** (the
+    /// BFS visit order doubles as the topological order of the
+    /// shortest-path DAG, so no sort is needed): when `u` is dequeued
+    /// every layer-`h(u)−1` predecessor has already been dequeued (BFS
+    /// pops whole layers in order), so `u`'s length is final and can be
+    /// propagated to layer `h(u)+1` immediately. The relaxations happen
+    /// in the same order as the two-pass version (dequeue order = visit
+    /// order, rows in CSR order), so the results are bit-identical.
     pub fn min_hop_max_length_covering(
         &mut self,
         g: &Graph,
@@ -572,10 +476,6 @@ impl SearchScratch {
         source: NodeId,
         min_id: NodeId,
     ) {
-        self.min_hop_core(g, weights, source, min_id);
-    }
-
-    fn min_hop_core(&mut self, g: &Graph, weights: &CsrWeights, source: NodeId, min_id: usize) {
         assert!(g.node_count() <= self.hops.len(), "scratch too small");
         assert_eq!(weights.values.len(), g.csr32().1.len(), "weights/graph mismatch");
         let (offsets, targets) = g.csr32();
@@ -646,12 +546,6 @@ impl SearchScratch {
         (l != f64::INFINITY).then_some(l)
     }
 
-    /// Copies the hop results into the allocating `Vec<Option<u32>>`
-    /// shape used by the public traversal API.
-    pub fn hops_to_vec(&self, n: usize) -> Vec<Option<u32>> {
-        (0..n).map(|v| self.hops.get(v)).collect()
-    }
-
     /// Copies the length results into the allocating `Vec<Option<f64>>`
     /// shape used by the public shortest-path API.
     pub fn lens_to_vec(&self, n: usize) -> Vec<Option<f64>> {
@@ -669,7 +563,7 @@ mod tests {
         let g = generators::connected_gnp(80, 0.06, 5);
         let mut s = SearchScratch::for_graph(&g);
         for src in [0, 17, 63, 0, 41] {
-            s.bfs(&g, src);
+            s.bfs_covering(&g, src, 0);
             let want = crate::traversal::bfs_distances(&g, src);
             for v in g.nodes() {
                 assert_eq!(s.hop(v), want[v], "source {src}, node {v}");
@@ -678,22 +572,10 @@ mod tests {
     }
 
     #[test]
-    fn visit_order_is_layer_monotone() {
-        let g = generators::connected_gnp(60, 0.1, 2);
-        let mut s = SearchScratch::for_graph(&g);
-        s.bfs(&g, 3);
-        let order = s.visit_order();
-        assert_eq!(order.len(), 60, "connected graph fully visited");
-        for w in order.windows(2) {
-            assert!(s.hop(w[0]).unwrap() <= s.hop(w[1]).unwrap());
-        }
-    }
-
-    #[test]
     fn bfs_and_dijkstra_coexist_in_one_scratch() {
         let g = generators::cycle(9);
         let mut s = SearchScratch::for_graph(&g);
-        s.bfs(&g, 0);
+        s.bfs_covering(&g, 0, 0);
         s.dijkstra(&g, 0, |_, _| 2.5);
         for v in g.nodes() {
             // both result sets remain readable
@@ -705,9 +587,9 @@ mod tests {
     fn unreachable_nodes_stay_unset_after_reuse() {
         let g = Graph::from_edges(5, [(0, 1), (2, 3)]);
         let mut s = SearchScratch::for_graph(&g);
-        s.bfs(&g, 0);
+        s.bfs_covering(&g, 0, 0);
         assert_eq!(s.hop(2), None);
-        s.bfs(&g, 2);
+        s.bfs_covering(&g, 2, 0);
         // stale entries from the previous epoch must not leak
         assert_eq!(s.hop(0), None);
         assert_eq!(s.hop(4), None);
@@ -720,22 +602,11 @@ mod tests {
         let mut s = SearchScratch::for_graph(&g);
         // force the wrap path
         s.hops.epoch = u32::MAX - 1;
-        s.bfs(&g, 0); // epoch -> MAX
+        s.bfs_covering(&g, 0, 0); // epoch -> MAX
         assert_eq!(s.hop(3), Some(3));
-        s.bfs(&g, 3); // wraps
+        s.bfs_covering(&g, 3, 0); // wraps
         assert_eq!(s.hop(0), Some(3));
         assert_eq!(s.hop(3), Some(0));
-    }
-
-    #[test]
-    fn scratch_grows_on_demand() {
-        let small = generators::path(3);
-        let big = generators::path(50);
-        let mut s = SearchScratch::for_graph(&small);
-        s.bfs(&small, 0);
-        s.ensure(big.node_count());
-        s.bfs(&big, 0);
-        assert_eq!(s.hop(49), Some(49));
     }
 
     #[test]
@@ -776,7 +647,7 @@ mod tests {
             let mut b = SearchScratch::for_graph(&g);
             for src in [0usize, 33, 69] {
                 a.dijkstra(&g, src, wf);
-                b.dijkstra_weighted(&g, &weights, src);
+                b.dijkstra_weighted_radius(&g, &weights, src, f64::INFINITY);
                 for v in g.nodes() {
                     assert_eq!(
                         a.len_of(v).map(f64::to_bits),
@@ -793,12 +664,12 @@ mod tests {
         let g = generators::cycle(10);
         let zero = CsrWeights::from_fn(&g, |_, _| 0.0);
         let mut s = SearchScratch::for_graph(&g);
-        s.dijkstra_weighted(&g, &zero, 0);
+        s.dijkstra_weighted_radius(&g, &zero, 0, f64::INFINITY);
         for v in g.nodes() {
             assert_eq!(s.len_of(v), Some(0.0), "node {v}");
         }
         let unit = CsrWeights::from_fn(&g, |_, _| 1.0);
-        s.dijkstra_weighted(&g, &unit, 0);
+        s.dijkstra_weighted_radius(&g, &unit, 0, f64::INFINITY);
         assert_eq!(s.len_of(5), Some(5.0));
         assert_eq!(s.len_of(9), Some(1.0));
     }
@@ -816,7 +687,7 @@ mod tests {
             };
             let weights = CsrWeights::from_fn(&g, wf);
             let mut full = SearchScratch::for_graph(&g);
-            full.dijkstra_weighted(&g, &weights, 0);
+            full.dijkstra_weighted_radius(&g, &weights, 0, f64::INFINITY);
             let want = full.lens_to_vec(g.node_count());
             let max_d = want.iter().flatten().fold(0.0f64, |a, &b| a.max(b));
             let mut bounded = SearchScratch::for_graph(&g);
@@ -866,16 +737,15 @@ mod tests {
     fn covering_bfs_matches_full_bfs_on_covered_ids() {
         for seed in 0..8u64 {
             let g = generators::connected_gnp(60, 0.08, seed);
-            let mut full = SearchScratch::for_graph(&g);
             let mut cov = SearchScratch::for_graph(&g);
             for src in [0usize, 29, 59] {
-                full.bfs(&g, src);
+                let full = crate::traversal::bfs_distances(&g, src);
                 for min_id in [0usize, src, 30, 59] {
                     cov.bfs_covering(&g, src, min_id);
-                    for v in min_id..g.node_count() {
+                    for (v, &want) in full.iter().enumerate().skip(min_id) {
                         assert_eq!(
                             cov.hop(v),
-                            full.hop(v),
+                            want,
                             "seed {seed}, src {src}, min_id {min_id}, node {v}"
                         );
                     }
@@ -906,7 +776,7 @@ mod tests {
             let mut full = SearchScratch::for_graph(g);
             let mut cov = SearchScratch::for_graph(g);
             for src in [0usize, 35, 69] {
-                full.min_hop_max_length_weighted(g, &weights, src);
+                full.min_hop_max_length_covering(g, &weights, src, g.node_count());
                 for min_id in [0usize, src, 40] {
                     cov.min_hop_max_length_covering(g, &weights, src, min_id);
                     for v in min_id..g.node_count() {
@@ -931,7 +801,7 @@ mod tests {
         let weights = CsrWeights::euclidean(g, udg.points());
         let mut s = SearchScratch::for_graph(g);
         for src in [0usize, 44, 89] {
-            s.min_hop_max_length_weighted(g, &weights, src);
+            s.min_hop_max_length_covering(g, &weights, src, g.node_count());
             let fast = s.lens_to_vec(g.node_count());
             let want = crate::shortest_path::min_hop_max_length(g, udg.points(), src);
             assert_eq!(

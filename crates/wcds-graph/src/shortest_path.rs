@@ -11,7 +11,8 @@
 //!   of `h` hops has length ≤ `h`; [`min_hop_max_length`] computes the
 //!   exact maximum over all minimum-hop paths for tight measurements.
 
-use crate::{parallel, Graph, NodeId, SearchScratch};
+use crate::traversal::BallTree;
+use crate::{parallel, CsrWeights, Graph, NodeId, SearchScratch};
 use wcds_geom::Point;
 
 /// Dijkstra over arbitrary non-negative edge weights.
@@ -50,20 +51,21 @@ pub fn geometric_distances(g: &Graph, points: &[Point], source: NodeId) -> Vec<O
 /// that DAG, so no sort is needed.
 pub fn min_hop_max_length(g: &Graph, points: &[Point], source: NodeId) -> Vec<Option<f64>> {
     let mut scratch = SearchScratch::for_graph(g);
-    scratch.min_hop_max_length(g, points, source);
+    let weights = CsrWeights::euclidean(g, points);
+    scratch.min_hop_max_length_covering(g, &weights, source, g.node_count());
     scratch.lens_to_vec(g.node_count())
 }
 
 /// All-pairs hop distances as a dense matrix (`n` BFS runs, `O(n·(n+|E|))`).
 ///
 /// Entry `[u][v]` is `None` when `v` is unreachable from `u`. The rows
-/// run on [`parallel::threads`] workers; each row is a pure per-source
-/// map, so thread count cannot affect the matrix.
+/// run on [`parallel::threads`] workers, each filling one [`BallTree`]
+/// per row; each row is a pure per-source map, so thread count cannot
+/// affect the matrix.
 pub fn all_pairs_hops(g: &Graph) -> Vec<Vec<Option<u32>>> {
-    let n = g.node_count();
-    parallel::map_indices(parallel::threads(), n, || SearchScratch::new(n), |scratch, u| {
-        scratch.bfs(g, u);
-        scratch.hops_to_vec(n)
+    parallel::map_indices(parallel::threads(), g.node_count(), BallTree::default, |ball, u| {
+        ball.fill(g, [u], u32::MAX);
+        g.nodes().map(|v| ball.hop(v)).collect()
     })
 }
 
@@ -72,7 +74,7 @@ pub fn all_pairs_hops(g: &Graph) -> Vec<Vec<Option<u32>>> {
 pub fn all_pairs_geometric(g: &Graph, points: &[Point]) -> Vec<Vec<Option<f64>>> {
     let n = g.node_count();
     parallel::map_indices(parallel::threads(), n, || SearchScratch::new(n), |scratch, u| {
-        scratch.geometric(g, points, u);
+        scratch.dijkstra(g, u, |a, b| points[a].distance(points[b]));
         scratch.lens_to_vec(n)
     })
 }

@@ -1,9 +1,11 @@
-//! Breadth-first / depth-first traversals and connectivity.
+//! Breadth-first traversals and connectivity.
 //!
 //! Hop distances are the paper's `h_G(u, v)` ("minimum number of hops in
-//! `G`"); everything here is `O(n + |E|)`.
+//! `G`"); everything here is `O(n + |E|)`. Every search except the
+//! reference [`bfs_tree`] and [`connected_components`] fills a
+//! [`BallTree`], at radius `u32::MAX` when it is unbounded.
 
-use crate::{parallel, Graph, NodeId, SearchScratch};
+use crate::{parallel, Graph, NodeId};
 use std::collections::VecDeque;
 
 /// Hop distance from `source` to every node.
@@ -33,9 +35,9 @@ pub fn multi_source_bfs<I>(g: &Graph, sources: I) -> Vec<Option<u32>>
 where
     I: IntoIterator<Item = NodeId>,
 {
-    let mut scratch = SearchScratch::for_graph(g);
-    scratch.multi_bfs(g, sources);
-    scratch.hops_to_vec(g.node_count())
+    let mut ball = BallTree::default();
+    ball.fill(g, sources, u32::MAX);
+    g.nodes().map(|v| ball.hop(v)).collect()
 }
 
 /// BFS with parent pointers: returns `(distances, parents)`.
@@ -72,10 +74,13 @@ const UNSEEN: u32 = u32::MAX;
 /// per dominator), Algorithm II's bridge rule (one source per MIS
 /// anchor), a maintenance repair's region (every disturbed node at once)
 /// and the heads a router patch refreshes (every spanner-delta endpoint
-/// at once). With one source, hops and parents are **identical** to the
-/// full tree's for every node in the ball: the frontier is expanded in
-/// the same FIFO order, neighbours in adjacency order, and a node keeps
-/// the first parent that discovers it. With several, the sources are
+/// at once). The unbounded searches fill one at radius `u32::MAX`:
+/// [`multi_source_bfs`] and everything built on it, [`is_connected`],
+/// [`eccentricities`] and [`crate::shortest_path::all_pairs_hops`].
+/// With one source, hops and parents are **identical** to the full
+/// tree's for every node in the ball: the frontier is expanded in the
+/// same FIFO order, neighbours in adjacency order, and a node keeps the
+/// first parent that discovers it. With several, the sources are
 /// the first layer in the order given (a repeated source counts once),
 /// and each hop is the distance to the nearest source.
 ///
@@ -258,12 +263,18 @@ pub fn connected_components(g: &Graph) -> Vec<Vec<NodeId>> {
     comps
 }
 
-/// Whether the whole graph is connected.
+/// Whether the whole graph is connected: one search from node 0
+/// reaches every node.
 ///
 /// The empty graph and singletons count as connected, matching the usual
 /// convention (the paper implicitly assumes a connected network).
 pub fn is_connected(g: &Graph) -> bool {
-    connected_components(g).len() <= 1
+    if g.node_count() == 0 {
+        return true;
+    }
+    let mut ball = BallTree::default();
+    ball.fill(g, [0], u32::MAX);
+    ball.order().len() == g.node_count()
 }
 
 /// Whether a node subset is connected *in the subgraph it induces*.
@@ -279,8 +290,10 @@ pub fn is_connected_subset(g: &Graph, s: &[NodeId]) -> bool {
 /// Per-node hop eccentricities; `None` marks a node that cannot reach
 /// the whole graph.
 ///
-/// Runs one BFS per node on [`parallel::threads`] workers. The result
-/// is a pure per-source map, so thread count cannot affect it.
+/// Fills one [`BallTree`] per node on [`parallel::threads`] workers (one
+/// tree per worker): the eccentricity is the hop of the last node in
+/// visit order. The result is a pure per-source map, so thread count
+/// cannot affect it.
 pub fn eccentricities(g: &Graph) -> Vec<Option<u32>> {
     eccentricities_with_threads(g, parallel::threads())
 }
@@ -289,12 +302,12 @@ pub fn eccentricities(g: &Graph) -> Vec<Option<u32>> {
 /// result is identical for every `nthreads`).
 pub fn eccentricities_with_threads(g: &Graph, nthreads: usize) -> Vec<Option<u32>> {
     let n = g.node_count();
-    parallel::map_indices(nthreads, n, || SearchScratch::new(n), |scratch, u| {
-        scratch.bfs(g, u);
-        if scratch.visit_order().len() < n {
-            return None;
-        }
-        g.nodes().map(|v| scratch.hop(v).expect("fully visited")).max()
+    parallel::map_indices(nthreads, n, BallTree::default, |ball, u| {
+        ball.fill(g, [u], u32::MAX);
+        // FIFO order is hop-monotone: the last node is the farthest
+        let order = ball.order();
+        let &last = order.last().filter(|_| order.len() == n)?;
+        ball.hop(last)
     })
 }
 
@@ -305,39 +318,6 @@ pub fn diameter(g: &Graph) -> Option<u32> {
         return None;
     }
     eccentricities(g).into_iter().try_fold(0, |best, ecc| Some(best.max(ecc?)))
-}
-
-/// Iterative DFS preorder from `source` (deterministic: neighbors are
-/// visited in ascending id order).
-pub fn dfs_preorder(g: &Graph, source: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![false; g.node_count()];
-    let mut order = Vec::new();
-    let mut stack = vec![source];
-    while let Some(u) = stack.pop() {
-        if seen[u] {
-            continue;
-        }
-        seen[u] = true;
-        order.push(u);
-        // push reversed so the smallest neighbor is popped first
-        for v in g.adj(u).rev() {
-            if !seen[v] {
-                stack.push(v);
-            }
-        }
-    }
-    order
-}
-
-/// All nodes within `k` hops of `u` (excluding `u` itself), sorted.
-pub fn k_hop_neighborhood(g: &Graph, u: NodeId, k: u32) -> Vec<NodeId> {
-    let dist = bfs_distances(g, u);
-    let mut out: Vec<NodeId> = g
-        .nodes()
-        .filter(|&v| v != u && matches!(dist[v], Some(d) if d <= k))
-        .collect();
-    out.sort_unstable();
-    out
 }
 
 #[cfg(test)]
@@ -381,6 +361,25 @@ mod tests {
         }
     }
 
+    /// The FIFO visit order of the unbounded BFS behind `bfs_tree`: the
+    /// source, then each dequeued node's children in ascending id, the
+    /// order its sorted adjacency discovers them in.
+    fn fifo_order(source: NodeId, parents: &[Option<NodeId>]) -> Vec<NodeId> {
+        let mut children = vec![Vec::new(); parents.len()];
+        for (v, p) in parents.iter().enumerate() {
+            if let Some(p) = *p {
+                children[p].push(v);
+            }
+        }
+        let mut order = vec![source];
+        let mut next = 0;
+        while let Some(&u) = order.get(next) {
+            next += 1;
+            order.extend_from_slice(&children[u]);
+        }
+        order
+    }
+
     #[test]
     fn bounded_tree_matches_full_tree_inside_the_ball() {
         // one scratch for every fill, alternating a larger and a smaller
@@ -394,14 +393,12 @@ mod tests {
                     continue;
                 }
                 let (full_d, full_p) = bfs_tree(g, source);
-                // the FIFO visit order of an unbounded BFS
-                let mut full = SearchScratch::for_graph(g);
-                full.bfs(g, source);
+                let full_order = fifo_order(source, &full_p);
                 for radius in 0..5 {
                     ball.fill(g, [source], radius);
                     let within = |v: &NodeId| full_d[*v].is_some_and(|d| d <= radius);
                     let expected: Vec<NodeId> =
-                        full.visit_order().iter().copied().filter(within).collect();
+                        full_order.iter().copied().filter(within).collect();
                     let ctx = format!("n {} src {source} r {radius}", g.node_count());
                     assert_eq!(ball.order(), &expected[..], "{ctx}: visit order");
                     for v in 0..big.node_count() {
@@ -444,7 +441,12 @@ mod tests {
             let mut seen = std::collections::HashSet::new();
             let distinct: Vec<NodeId> =
                 sources.iter().copied().filter(|&s| seen.insert(s)).collect();
-            let full = multi_source_bfs(g, sources.iter().copied());
+            // the nearest source's hop, from one reference tree per source
+            let trees: Vec<_> = distinct.iter().map(|&s| bfs_tree(g, s).0).collect();
+            let full: Vec<Option<u32>> =
+                g.nodes().map(|v| trees.iter().filter_map(|d| d[v]).min()).collect();
+            let got = multi_source_bfs(g, sources.iter().copied());
+            assert_eq!(got, full, "n {} sources {sources:?}", g.node_count());
             for radius in 0..5 {
                 ball.fill(g, sources.iter().copied(), radius);
                 let ctx = format!("n {} sources {sources:?} r {radius}", g.node_count());
@@ -552,24 +554,5 @@ mod tests {
         for nthreads in [2, 4, 70] {
             assert_eq!(eccentricities_with_threads(&g, nthreads), serial, "{nthreads}");
         }
-    }
-
-    #[test]
-    fn dfs_preorder_visits_component_once() {
-        let g = generators::cycle(5);
-        let order = dfs_preorder(&g, 0);
-        assert_eq!(order.len(), 5);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
-        assert_eq!(order[0], 0);
-    }
-
-    #[test]
-    fn k_hop_neighborhood_on_path() {
-        let g = generators::path(7);
-        assert_eq!(k_hop_neighborhood(&g, 3, 2), vec![1, 2, 4, 5]);
-        assert_eq!(k_hop_neighborhood(&g, 0, 1), vec![1]);
-        assert!(k_hop_neighborhood(&g, 0, 0).is_empty());
     }
 }

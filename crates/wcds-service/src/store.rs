@@ -135,6 +135,34 @@ pub struct ResilientSummary {
 }
 
 impl Bundle {
+    /// Wraps a router built or patched for `wcds` into the bundle for
+    /// `epoch`, the one constructor every rebuild and patch goes
+    /// through.
+    ///
+    /// The router asserted that every node has an adjacent MIS head,
+    /// so `wcds` dominates the router's graph; its spanner spans every
+    /// node and is a subgraph of that graph. The spanner is therefore
+    /// connected exactly when the graph is connected and the WCDS is
+    /// valid, and one search over it decides `broadcastable`.
+    fn new(
+        epoch: u64,
+        wcds: Wcds,
+        router: BackboneRouter,
+        resilient: Option<ResilientSummary>,
+    ) -> Arc<Self> {
+        let broadcastable = traversal::is_connected(router.spanner());
+        Arc::new(Bundle {
+            epoch,
+            graph: Arc::clone(router.graph()),
+            wcds,
+            spanner: Arc::clone(router.spanner()),
+            router,
+            broadcastable,
+            resilient,
+            plan: OnceLock::new(),
+        })
+    }
+
     /// The backbone broadcast plan for this epoch, or `None` when the
     /// topology was disconnected (or the WCDS invalid) at build time.
     ///
@@ -227,17 +255,7 @@ fn build_artifacts(g: &Graph, source: &ArtifactSource, epoch: u64) -> Arc<Bundle
         }
     };
     let router = BackboneRouter::build(g, &wcds);
-    let broadcastable = traversal::is_connected(g) && wcds.is_valid(g);
-    Arc::new(Bundle {
-        epoch,
-        graph: Arc::clone(router.graph()),
-        wcds,
-        spanner: Arc::clone(router.spanner()),
-        router,
-        broadcastable,
-        resilient,
-        plan: OnceLock::new(),
-    })
+    Bundle::new(epoch, wcds, router, resilient)
 }
 
 impl Topology {
@@ -535,78 +553,8 @@ fn segments(mutations: &[Mutation]) -> Vec<&[Mutation]> {
 /// Byte-identical to a from-scratch build (release-asserted by the
 /// store tests).
 fn patch_bundle(g: &Graph, prior: &Bundle, report: &RepairReport, epoch: u64) -> Arc<Bundle> {
-    let wcds = prior.wcds.clone();
-    let router = prior.router.patched(g, &wcds, &report.edges_added, &report.edges_removed);
-    let broadcastable = traversal::is_connected(g) && wcds.is_valid(g);
-    Arc::new(Bundle {
-        epoch,
-        graph: Arc::clone(router.graph()),
-        wcds,
-        spanner: Arc::clone(router.spanner()),
-        router,
-        broadcastable,
-        resilient: None,
-        plan: OnceLock::new(),
-    })
-}
-
-/// Validates and applies one mutation under the topology write lock.
-/// Returns the post-mutation epoch, the repair report, and the bundle
-/// the mutation displaced from the published slot (for the caller to
-/// drop once the lock is released).
-///
-/// The prior bundle is loaded inside the same hold that advances the
-/// epoch, so it is exactly the published one. When the repair
-/// preserved every dominator and that bundle was current, the patched
-/// bundle is built first, then the epoch advances and the patch is
-/// published in the same hold: no read can find the new epoch without
-/// its patch once the hold ends.
-fn apply_one(
-    entry: &Entry,
-    name: &str,
-    mutation: &Mutation,
-) -> Result<(u64, RepairReport, Option<Arc<Bundle>>), StoreError> {
-    let mut topo = write_guard(&entry.topo)?;
-    let prior = entry.load_published();
-    let t = &mut *topo;
-    let resilience = t.resilience;
-    let n = t.body.graph().node_count();
-    let Body::Mobile(m) = &mut t.body else {
-        return Err(static_err(name));
-    };
-    check_finite(mutation)?;
-    let report = match *mutation {
-        Mutation::Join { x, y } => m.apply_join(Point::new(x, y)),
-        Mutation::Leave { node } => {
-            if node >= n {
-                return Err(oob_err(node, n));
-            }
-            m.apply_leave(node)
-        }
-        Mutation::Move { node, x, y } => {
-            if node >= n {
-                return Err(oob_err(node, n));
-            }
-            m.apply_motion(&[(node, Point::new(x, y))])
-        }
-    };
-    let epoch = entry.epoch.load(Ordering::Acquire) + 1;
-    let is_leave = matches!(*mutation, Mutation::Leave { .. });
-    if is_leave {
-        t.leave_since_bundle = true;
-    }
-    // a leave renames every id above the victim, which would invalidate
-    // all id-keyed router state — let it rebuild. Hardened bundles also
-    // rebuild: a plain repair report says nothing about the upper
-    // coverage layers or connectors.
-    let patch = prior
-        .filter(|b| {
-            b.epoch + 1 == epoch && resilience.is_none() && !report.changed() && !is_leave
-        })
-        .map(|b| patch_bundle(t.body.graph(), &b, &report, epoch));
-    entry.epoch.store(epoch, Ordering::Release);
-    let displaced = patch.and_then(|b| entry.publish(&topo, b));
-    Ok((epoch, report, displaced))
+    let router = prior.router.patched(g, &prior.wcds, &report.edges_added, &report.edges_removed);
+    Bundle::new(epoch, prior.wcds.clone(), router, None)
 }
 
 /// Validates a batch and applies it under one hold of the topology
@@ -617,15 +565,20 @@ fn apply_one(
 /// (dropped on dominator churn, a leave, or a hardened topology) so a
 /// quiet batch still leaves the cache hot.
 ///
-/// The epoch advances once, after the last segment, and the chain is
-/// published right after in the same hold, so the whole batch
-/// linearizes at that advance. Returns the outcome and the displaced
-/// bundle, as [`apply_one`] does.
+/// The prior bundle is loaded inside the same hold that advances the
+/// epoch, so it is exactly the published one. The epoch advances once,
+/// after the last segment, and the chain is published right after in
+/// the same hold, so the whole batch linearizes at that advance: no
+/// read can find the new epoch without its patch once the hold ends.
+/// Returns the post-batch epoch and each segment's repair report in
+/// order. The bundle the batch displaced from the published slot is
+/// dropped after the lock is released, so freeing it never lengthens
+/// the hold.
 fn apply_batch(
     entry: &Entry,
     name: &str,
     mutations: &[Mutation],
-) -> Result<(BatchOutcome, Option<Arc<Bundle>>), StoreError> {
+) -> Result<(u64, Vec<RepairReport>), StoreError> {
     let mut topo = write_guard(&entry.topo)?;
     let prior = entry.load_published();
     let t = &mut *topo;
@@ -636,13 +589,13 @@ fn apply_batch(
     validate_batch(mutations, m.graph().node_count())?;
     let mut epoch = entry.epoch.load(Ordering::Acquire);
     // the chain invariant: `chain` is Some(b) only while b.epoch equals
-    // the running epoch, i.e. the bundle is exactly current
+    // the running epoch, i.e. the bundle is exactly current. A hardened
+    // bundle always rebuilds: a plain repair report says nothing about
+    // the upper coverage layers or connectors
     let mut chain = prior.filter(|b| b.epoch == epoch && resilience.is_none());
-    let mut promoted = 0u64;
-    let mut demoted = 0u64;
-    let mut leave_seen = false;
+    let mut reports = Vec::new();
     for seg in segments(mutations) {
-        match seg.first() {
+        let report = match seg.first() {
             Some(Mutation::Move { .. }) => {
                 // the maintained state is a pure function of the final
                 // positions (release-asserted against serial replay),
@@ -655,47 +608,31 @@ fn apply_batch(
                         _ => None,
                     })
                     .collect();
-                let report = m.apply_motion(&moves);
                 epoch += moves.len() as u64;
-                promoted += report.promoted.len() as u64;
-                demoted += report.demoted.len() as u64;
-                chain = chain
-                    .filter(|_| !report.changed())
-                    .map(|b| patch_bundle(m.graph(), &b, &report, epoch));
+                m.apply_motion(&moves)
             }
             Some(&Mutation::Join { x, y }) => {
-                let report = m.apply_join(Point::new(x, y));
                 epoch += 1;
-                promoted += report.promoted.len() as u64;
-                demoted += report.demoted.len() as u64;
-                chain = chain
-                    .filter(|_| !report.changed())
-                    .map(|b| patch_bundle(m.graph(), &b, &report, epoch));
+                m.apply_join(Point::new(x, y))
             }
             Some(&Mutation::Leave { node }) => {
-                let report = m.apply_leave(node);
                 epoch += 1;
-                promoted += report.promoted.len() as u64;
-                demoted += report.demoted.len() as u64;
-                leave_seen = true;
+                t.leave_since_bundle = true;
                 chain = None; // id compaction invalidates id-keyed state
+                m.apply_leave(node)
             }
-            None => {}
-        }
-    }
-    if leave_seen {
-        t.leave_since_bundle = true;
+            None => continue,
+        };
+        chain = chain
+            .filter(|_| !report.changed())
+            .map(|b| patch_bundle(m.graph(), &b, &report, epoch));
+        reports.push(report);
     }
     entry.epoch.store(epoch, Ordering::Release);
     let displaced = chain.and_then(|b| entry.publish(&topo, b));
-    let outcome = BatchOutcome {
-        epoch,
-        applied: mutations.len() as u64,
-        promoted,
-        demoted,
-        lease_wait_us: 0,
-    };
-    Ok((outcome, displaced))
+    drop(topo);
+    drop(displaced);
+    Ok((epoch, reports))
 }
 
 /// Serves a route over the **surviving backbone**: a BFS over the stale
@@ -871,15 +808,32 @@ impl Store {
     /// Ingests a topology from `wcds_graph::io` text. Payloads with
     /// positions become mobile; edge-only payloads are static.
     ///
+    /// A mobile topology is the radius-[`UDG_RADIUS`] unit-disk graph of
+    /// its points, so a positioned payload must list exactly that
+    /// graph's edges — the graph `wcds stats -i` reads from the same
+    /// text. A payload whose edges say otherwise (a missing or extra
+    /// edge, or bare points that have neighbours) is rejected rather
+    /// than silently served as a different topology.
+    ///
     /// # Errors
     ///
-    /// `BadPayload` on unparsable text, `AlreadyExists` on a name
-    /// collision.
+    /// `BadPayload` on unparsable text or on a positioned payload whose
+    /// edges are not its points' unit-disk graph, `AlreadyExists` on a
+    /// name collision.
     pub fn create(&self, name: &str, payload: &str) -> Result<(u64, u64, bool), StoreError> {
         let doc = io::from_text(payload)
             .map_err(|e| err(ErrorCode::BadPayload, format!("payload: {e}")))?;
         let body = match doc.points {
-            Some(points) => Body::Mobile(MaintainedWcds::new(points, UDG_RADIUS)),
+            Some(points) => {
+                let m = MaintainedWcds::new(points, UDG_RADIUS);
+                if *m.graph() != doc.graph {
+                    return Err(err(
+                        ErrorCode::BadPayload,
+                        "payload: the edges are not the unit-disk graph of the points",
+                    ));
+                }
+                Body::Mobile(m)
+            }
             None => Body::Static(doc.graph),
         };
         let (n, m) = (body.graph().node_count() as u64, body.graph().edge_count() as u64);
@@ -927,7 +881,9 @@ impl Store {
         self.entry(name)?.current()
     }
 
-    /// Applies one maintenance mutation, advancing the epoch.
+    /// Applies one maintenance mutation, advancing the epoch: a
+    /// [`Store::mutate_batch`] of one that returns its repair report
+    /// (and is not counted in `batched_mutations`).
     ///
     /// The mutation is validated and applied under the topology write
     /// lock, so mutations of one topology commit one at a time, in the
@@ -953,9 +909,10 @@ impl Store {
     /// `BadPayload` (a non-finite coordinate).
     pub fn mutate(&self, name: &str, mutation: &Mutation) -> Result<(u64, RepairReport), StoreError> {
         let entry = self.entry(name)?;
-        let (epoch, report, displaced) = apply_one(&entry, name, mutation)?;
-        drop(displaced);
-        Ok((epoch, report))
+        let (epoch, reports) = apply_batch(&entry, name, std::slice::from_ref(mutation))?;
+        // a batch of one mutation is one segment with one report
+        let report = reports.into_iter().next();
+        Ok((epoch, report.ok_or_else(|| err(ErrorCode::Internal, "no repair report"))?))
     }
 
     /// Applies a whole mutation batch (a drift tick) under **one** hold
@@ -998,9 +955,14 @@ impl Store {
                 lease_wait_us: 0,
             });
         }
-        let (outcome, displaced) = apply_batch(&entry, name, mutations)?;
-        drop(displaced);
-        Ok(outcome)
+        let (epoch, reports) = apply_batch(&entry, name, mutations)?;
+        Ok(BatchOutcome {
+            epoch,
+            applied: mutations.len() as u64,
+            promoted: reports.iter().map(|r| r.promoted.len() as u64).sum(),
+            demoted: reports.iter().map(|r| r.demoted.len() as u64).sum(),
+            lease_wait_us: 0,
+        })
     }
 
     /// Full statistics for one topology. Builds the bundle if stale, so
@@ -1338,6 +1300,64 @@ mod tests {
             store.broadcast("x", 999).unwrap_err().code,
             ErrorCode::OutOfRange
         );
+    }
+
+    /// A positioned payload must list its points' unit-disk graph: a
+    /// dropped edge and bare points with neighbours are both rejected
+    /// and leave the name free, while `io::to_text` of a unit-disk
+    /// graph, isolated points included, is accepted.
+    #[test]
+    fn positioned_payloads_must_list_their_unit_disk_edges() {
+        let store = Store::new();
+        let far_apart = "nodes 3\nedge 0 1\nedge 1 2\npoint 0 0 0\npoint 1 5 0\npoint 2 10 0\n";
+        let bare_neighbours = "nodes 2\npoint 0 0 0\npoint 1 0.5 0\n";
+        for text in [far_apart, bare_neighbours] {
+            let e = store.create("net", text).unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadPayload, "{text:?}");
+        }
+        assert!(store.list().unwrap().is_empty());
+        assert!(store.create("net", &payload(60, 4.0, 1)).unwrap().2, "mobile");
+        let isolated = "nodes 2\npoint 0 0 0\npoint 1 5 0\n";
+        assert_eq!(store.create("lone", isolated).unwrap(), (2, 0, true));
+    }
+
+    /// A bundle's broadcast plan exists exactly when the graph is
+    /// connected and the WCDS valid, the check the bundle constructor
+    /// replaced with one search of the router's spanner: pinned on
+    /// connected and partitioned, static and mobile topologies, fresh
+    /// and patched.
+    #[test]
+    fn bundle_plans_exist_exactly_for_connected_valid_backbones() {
+        fn formula(bundle: &Bundle) -> bool {
+            traversal::is_connected(&bundle.graph) && bundle.wcds.is_valid(&bundle.graph)
+        }
+        let pairs = [(0.0, 0.0), (0.5, 0.0), (9.0, 0.0), (9.5, 0.0)];
+        let two_pairs =
+            UnitDiskGraph::build(pairs.map(|(x, y)| Point::new(x, y)).to_vec(), UDG_RADIUS);
+        let cases = [
+            ("static connected", "nodes 3\nedge 0 1\nedge 1 2\n".to_string(), true),
+            ("static partitioned", "nodes 5\nedge 0 1\nedge 2 3\nedge 3 4\n".to_string(), false),
+            ("mobile connected", payload(80, 4.0, 7), true),
+            ("mobile partitioned", io::to_text(two_pairs.graph(), Some(two_pairs.points())), false),
+        ];
+        let store = Store::new();
+        for (name, text, connected) in cases {
+            let (_, _, mobile) = store.create(name, &text).unwrap();
+            let (bundle, _) = store.bundle(name).unwrap();
+            assert_eq!(formula(&bundle), connected, "{name}");
+            assert_eq!(bundle.plan().is_some(), connected, "{name}");
+            if !mobile {
+                continue;
+            }
+            // a 0.01 nudge of node 1 keeps the dominators: a patched bundle
+            let p = io::from_text(&text).unwrap().points.unwrap()[1];
+            let (_, report) =
+                store.mutate(name, &Mutation::Move { node: 1, x: p.x + 0.01, y: p.y }).unwrap();
+            let (bundle, hit) = store.bundle(name).unwrap();
+            assert!(hit && !report.changed(), "{name}: not patched");
+            assert_eq!(formula(&bundle), connected, "{name}: patched");
+            assert_eq!(bundle.plan().is_some(), connected, "{name}: patched");
+        }
     }
 
     /// Satellite: interleave mutations with cached route queries; every

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Service smoke test: start `wcds serve` on loopback, drive a scripted
-# ingest → broadcast → construct → route → mutate → route → broadcast →
+# rejected ingest of a tampered payload → ingest → broadcast →
+# construct → route → mutate → route → broadcast →
 # stats → pipelined route burst (`--repeat N --pipeline`) → harden →
 # broadcast → crash a node → degraded broadcast → shutdown session
 # through `wcds query`, and require a clean server exit. Each broadcast must print its exact
@@ -16,7 +17,8 @@ cd "$(dirname "$0")/.."
 
 PORT="${WCDS_SMOKE_PORT:-7741}"
 GRAPH="$(mktemp -t wcds-smoke-XXXXXX.graph)"
-trap 'rm -f "${GRAPH}"; kill "${SERVER_PID:-}" 2>/dev/null || true' EXIT
+TAMPERED="$(mktemp -t wcds-smoke-XXXXXX.graph)"
+trap 'rm -f "${GRAPH}" "${TAMPERED}"; kill "${SERVER_PID:-}" 2>/dev/null || true' EXIT
 
 wcds() {
   cargo run --release -q -p wcds-cli --bin wcds -- "$@"
@@ -26,6 +28,9 @@ wcds() {
 cargo build --release -p wcds-cli
 
 wcds generate --model uniform --n 60 --side 4 --seed 5 -o "${GRAPH}"
+# the same deployment with its first edge line deleted: its edges are no
+# longer the unit-disk graph of its points
+awk '/^edge / && !cut { cut = 1; next } 1' "${GRAPH}" > "${TAMPERED}"
 
 # broadcast ADDR SOURCE LINE: one broadcast query whose output must be
 # exactly LINE (the plans are deterministic for the generated graph)
@@ -52,6 +57,16 @@ session() {
   done
 
   wcds query ping      --addr "${addr}"
+  local rejected
+  if rejected="$(wcds query create --addr "${addr}" --name net -i "${TAMPERED}" 2>&1)"; then
+    echo "create of a payload with a deleted edge succeeded: ${rejected}" >&2
+    exit 1
+  fi
+  echo "${rejected}"
+  if ! grep -qF -- "bad-payload" <<<"${rejected}"; then
+    echo "create of a payload with a deleted edge: expected \`bad-payload\`" >&2
+    exit 1
+  fi
   wcds query create    --addr "${addr}" --name net -i "${GRAPH}"
   broadcast "${addr}" 0 "broadcast from 0: 30 forwarders, 60 informed"
   wcds query construct --addr "${addr}" --name net
