@@ -8,14 +8,15 @@
 //!   these sizes is the denominator for the city-scale speedup check.
 //! * **City scale** (n = 20k on `--quick`, 100k and 1M at full scale):
 //!   the `O(n²)` baselines are infeasible, so the sweep measures the
-//!   parallel pipeline — dense-grid UDG build and [`PartitionedTwo`]
-//!   (greedy MIS plus the per-anchor bridge sweep) across 1/2/4/8
-//!   workers (every thread count must produce byte-identical output),
-//!   the sequential [`AlgorithmTwo`] oracle at n = 100k
-//!   (`engines_agree`), and the certified sampled dilation estimator on
-//!   the resulting spanner. The 100k construction must beat the
-//!   quadratic extrapolation of the measured naive time
-//!   (`naive_ms(2000) · (n/2000)²`) by ≥ 10×.
+//!   pipeline — the dense-grid UDG build on one thread (`udg_build`,
+//!   asserted equal to the [`GridIndex`] hash builder:
+//!   `udg_engines_agree_n{n}`), [`PartitionedTwo`] (greedy MIS plus the
+//!   per-anchor bridge sweep) across 1/2/4/8 workers (every thread
+//!   count must produce byte-identical output), the sequential
+//!   [`AlgorithmTwo`] oracle at n ≤ 100k (`engines_agree_n{n}`), and
+//!   the certified sampled dilation estimator on the resulting spanner.
+//!   The 100k construction must beat the quadratic extrapolation of the
+//!   measured naive time (`naive_ms(2000) · (n/2000)²`) by ≥ 10×.
 //!
 //! Every row records the process peak RSS (`VmHWM`) at the time it was
 //! taken, so memory growth is attributable to the first row that shows
@@ -29,8 +30,8 @@ use wcds_core::algo2::AlgorithmTwo;
 use wcds_core::dilation::DilationEstimate;
 use wcds_core::partition::PartitionedTwo;
 use wcds_core::Wcds;
-use wcds_geom::deploy;
-use wcds_graph::{parallel, GraphBuilder, NodeId, UnitDiskGraph};
+use wcds_geom::{deploy, GridIndex, Point};
+use wcds_graph::{parallel, Graph, GraphBuilder, NodeId, UnitDiskGraph};
 
 const SEED: u64 = 42;
 /// Worker counts swept at city scale (satellite: thread-scaling rows).
@@ -120,9 +121,9 @@ fn main() {
     write_bench_json(scale, "BENCH_construction.json", "construction", &rows, &checks);
 }
 
-/// City-scale sweep at one size: parallel build + threaded
-/// Algorithm II across the thread sweep, sequential oracle and sampled
-/// dilation where feasible.
+/// City-scale sweep at one size: the UDG build, threaded Algorithm II
+/// across the thread sweep, sequential oracle and sampled dilation where
+/// feasible.
 fn city_scale(
     n: usize,
     scale: Scale,
@@ -135,26 +136,12 @@ fn city_scale(
     let sweep: &[usize] =
         if n > FULL_SWEEP_MAX_NODES { &THREAD_SWEEP[3..] } else { &THREAD_SWEEP[..] };
 
-    // the dense-grid build, once per worker count — byte-identical CSR
-    // is asserted across the sweep
-    let mut reference: Option<UnitDiskGraph> = None;
-    let mut best_build_ms = f64::INFINITY;
-    for &t in sweep {
-        let (ms, udg) = time_ms(|| UnitDiskGraph::build_with_threads(pts.clone(), 1.0, t));
-        let m = udg.graph().edge_count();
-        rows.push(BenchRow::new("udg_parallel_build", n, m, t, ms, m));
-        best_build_ms = best_build_ms.min(ms);
-        if let Some(r) = &reference {
-            assert_eq!(
-                r.graph(),
-                udg.graph(),
-                "parallel build not byte-identical at n={n}, {t} threads"
-            );
-        }
-        reference = Some(udg);
-    }
-    let udg = reference.expect("non-empty thread sweep");
+    // the dense-grid build, checked against the hash-grid engine
+    let (build_ms, udg) = time_ms(|| UnitDiskGraph::build(pts.clone(), 1.0));
     let m = udg.graph().edge_count();
+    rows.push(BenchRow::new("udg_build", n, m, 1, build_ms, m));
+    assert_eq!(*udg.graph(), hash_grid_udg(&pts, 1.0), "UDG engines diverged at n={n}");
+    checks.push((format!("udg_engines_agree_n{n}"), "true".to_string()));
 
     // Algorithm II with the threaded bridge sweep, across the same sweep
     let mut parts: Option<(Vec<NodeId>, Vec<NodeId>)> = None;
@@ -226,7 +213,7 @@ fn city_scale(
         // build + construct of this sweep
         let (base_n, base_ms) = naive_baseline.expect("legacy sizes ran first");
         let extrapolated_ms = base_ms * (n as f64 / base_n as f64).powi(2);
-        let total_ms = best_build_ms + best_construct_ms;
+        let total_ms = build_ms + best_construct_ms;
         let speedup = extrapolated_ms / total_ms.max(1e-9);
         checks.push((
             format!("speedup_vs_quadratic_naive_n{n}"),
@@ -242,4 +229,20 @@ fn city_scale(
     } else {
         checks.push((format!("feasibility_n{n}"), "true".to_string()));
     }
+}
+
+/// The UDG by the [`GridIndex`] spatial hash, one radius query per
+/// node: the engine `UnitDiskGraph::build` uses for sparse scatters,
+/// here the independent check on its dense-grid build.
+fn hash_grid_udg(points: &[Point], radius: f64) -> Graph {
+    let index = GridIndex::build(points, radius);
+    let mut b = GraphBuilder::new(points.len());
+    for (u, &p) in points.iter().enumerate() {
+        index.for_each_within(points, p, radius, |v| {
+            if u < v {
+                b.add_edge(u, v);
+            }
+        });
+    }
+    b.build()
 }

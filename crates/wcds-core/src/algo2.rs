@@ -28,7 +28,7 @@
 //! `O(1)`-messages-per-node budget. This choice affects only `w`'s
 //! routing tables, not the WCDS itself.
 
-use crate::maintenance::region::contributions_for;
+use crate::maintenance::region::{bridge_union, contributions_for};
 use crate::mis::{greedy_mis, RankingMode};
 use crate::{ConstructionResult, Wcds, WcdsConstruction};
 use std::collections::BTreeSet;
@@ -100,12 +100,6 @@ impl WcdsConstruction for AlgorithmTwo {
 /// Exposed because WCDS *maintenance* re-runs the same deterministic
 /// selection after local MIS repairs.
 ///
-/// # Panics
-///
-/// Panics if `mis` is not independent-dominating over the component
-/// containing its 3-hop pairs (an intermediate must exist for every
-/// 3-hop pair of a genuine MIS).
-///
 /// Runs in `O(Σ_u |ball(u, 3)|)` — each MIS anchor explores only its
 /// radius-3 neighborhood (the same per-anchor decomposition the
 /// maintenance engine repairs with), so total work is linear in the
@@ -113,15 +107,19 @@ impl WcdsConstruction for AlgorithmTwo {
 /// full-BFS-per-pair formulation survives as
 /// [`select_additional_dominators_reference`], the oracle the tests
 /// compare against.
+///
+/// # Panics
+///
+/// Panics if a node of `mis` is out of range.
 pub fn select_additional_dominators(g: &Graph, mis: &[NodeId]) -> Vec<NodeId> {
     let in_mis = g.membership(mis);
     let mut ball = BallTree::default();
-    let mut additional = BTreeSet::new();
-    for &u in mis {
-        additional.extend(contributions_for(&mut ball, g, |w| in_mis[w], u));
-    }
+    let additional = bridge_union(
+        g.node_count(),
+        mis.iter().map(|&u| contributions_for(&mut ball, g, |w| in_mis[w], u)),
+    );
     debug_assert!(additional.iter().all(|&v| !in_mis[v]), "neighbors of a dominator are gray");
-    additional.into_iter().collect()
+    additional
 }
 
 /// The textbook `O(|MIS| · (n + |E|))` formulation of the bridge rule:

@@ -11,7 +11,8 @@
 //!   greedy `StaticId` construction produces) after an edge delta, via
 //!   an ascending-id worklist fixpoint seeded at the disturbed nodes;
 //! * [`contributions_for`] — the per-MIS-node share of Algorithm II's
-//!   bridge rule, computed from one radius-3 ball.
+//!   bridge rule, read off one radius-3 BFS tree, and [`bridge_union`],
+//!   which merges the shares in id order.
 //!
 //! Why the worklist restores exactly the greedy MIS: under a static-id
 //! ranking, `u` is black iff no neighbor `v < u` is black — a unique
@@ -122,6 +123,15 @@ pub(crate) fn cascade_mis(g: &Graph, mis: &mut BTreeSet<NodeId>, seeds: &[NodeId
 /// membership is a predicate, so batch callers can pass an `O(1)`
 /// bitmap; `ball` is refilled, so a sweep over many anchors shares
 /// one allocation.
+///
+/// The bridge is `w`'s grandparent in the ball's BFS tree, on any
+/// graph. Adjacency is sorted, so the hop-1 nodes are dequeued in
+/// ascending id: a hop-2 node's parent is its smallest hop-1
+/// neighbour, and the hop-2 nodes enter the queue in non-decreasing
+/// parent order. `w`'s parent is the first hop-2 node adjacent to `w`,
+/// so its grandparent is the smallest parent of a hop-2 neighbour of
+/// `w`. A common neighbour of `v ∈ N(u)` and `w` sits at hop 2, so
+/// those parents are exactly the `v ∈ N(u)` with `hop(v, w) == 2`.
 pub(crate) fn contributions_for(
     ball: &mut BallTree,
     g: &Graph,
@@ -129,40 +139,33 @@ pub(crate) fn contributions_for(
     u: NodeId,
 ) -> BTreeSet<NodeId> {
     ball.fill(g, [u], 3);
-    let mut out = BTreeSet::new();
-    for &w in ball.order() {
-        if ball.hop(w) != Some(3) || w <= u || !in_mis(w) {
-            continue;
-        }
-        // the smallest v ∈ N(u) with hop(v, w) == 2; since hop(u, w) = 3
-        // forces w ∉ N(u) (so v ≠ w), that is exactly: v not adjacent to
-        // w but sharing a neighbor with it. The sorted-adjacency sweep
-        // replaces a radius-2 ball per pair, which on dense graphs
-        // re-walked most of the neighborhood for every pair.
-        let nw = g.neighbors(w);
-        let bridge = g
-            .adj(u)
-            .find(|&v| !g.has_edge(v, w) && sorted_intersects(g.neighbors(v), nw));
-        debug_assert!(bridge.is_some(), "a 3-hop pair has an intermediate at distance (1, 2)");
-        if let Some(v) = bridge {
-            out.insert(v);
-        }
-    }
-    out
+    // visit order is hop-monotone: hop 3 is the tail. The parent calls
+    // name their type so the workspace call graph links them to
+    // `BallTree` alone.
+    let ball = &*ball;
+    ball.order()
+        .iter()
+        .rev()
+        .take_while(|&&w| ball.hop(w) == Some(3))
+        .filter(|&&w| w > u && in_mis(w))
+        .filter_map(|&w| BallTree::parent(ball, w).and_then(|x| BallTree::parent(ball, x)))
+        .collect()
 }
 
-/// Whether two ascending slices share an element (two-pointer sweep).
-fn sorted_intersects(mut a: &[u32], mut b: &[u32]) -> bool {
-    debug_assert!(a.windows(2).all(|w| w.first() < w.last()));
-    debug_assert!(b.windows(2).all(|w| w.first() < w.last()));
-    while let (Some((&x, rest_a)), Some((&y, rest_b))) = (a.split_first(), b.split_first()) {
-        match x.cmp(&y) {
-            std::cmp::Ordering::Less => a = rest_a,
-            std::cmp::Ordering::Greater => b = rest_b,
-            std::cmp::Ordering::Equal => return true,
+/// The union of per-anchor bridge sets on an `n`-node graph, in
+/// ascending id order: a membership mask marked set by set, then read
+/// out in id order.
+pub(crate) fn bridge_union(
+    n: usize,
+    sets: impl IntoIterator<Item = BTreeSet<NodeId>>,
+) -> Vec<NodeId> {
+    let mut member = vec![false; n];
+    for v in sets.into_iter().flatten() {
+        if let Some(m) = member.get_mut(v) {
+            *m = true;
         }
     }
-    false
+    member.iter().enumerate().filter_map(|(v, &m)| m.then_some(v)).collect()
 }
 
 #[cfg(test)]
@@ -171,7 +174,7 @@ mod tests {
     use crate::algo2::{select_additional_dominators, select_additional_dominators_reference};
     use crate::mis::{greedy_mis, RankingMode};
     use wcds_geom::deploy;
-    use wcds_graph::{generators, UnitDiskGraph};
+    use wcds_graph::{generators, traversal, UnitDiskGraph};
     use wcds_rng::{ChaCha12Rng, Rng};
 
     fn lex_mis(g: &Graph) -> BTreeSet<NodeId> {
@@ -224,6 +227,48 @@ mod tests {
         assert_eq!(flipped, vec![1, 2]);
         assert_eq!(mis, lex_mis(&g2));
         assert_eq!(mis.iter().copied().collect::<Vec<_>>(), vec![0, 1]);
+    }
+
+    /// Algorithm II's rule for one anchor by brute force: a full BFS
+    /// from `u` finds its 3-hop MIS partners `w > u`, and one from each
+    /// `w` picks the smallest `v ∈ N(u)` with `hop(v, w) == 2`.
+    fn per_pair_reference(g: &Graph, mis: &[NodeId], u: NodeId) -> BTreeSet<NodeId> {
+        let from_u = traversal::bfs_distances(g, u);
+        mis.iter()
+            .filter(|&&w| w > u && from_u[w] == Some(3))
+            .map(|&w| {
+                let from_w = traversal::bfs_distances(g, w);
+                g.adj(u).find(|&v| from_w[v] == Some(2)).expect("a (1, 2) intermediate")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_anchor_matches_the_per_pair_reference() {
+        let disconnected = generators::gnp(90, 0.03, 2);
+        assert!(!traversal::is_connected(&disconnected));
+        let udg = UnitDiskGraph::build(deploy::uniform(220, 7.0, 7.0, 9), 1.0);
+        let graphs = [
+            ("connected_gnp", generators::connected_gnp(70, 0.06, 4)),
+            ("path", generators::path(23)),
+            ("caterpillar", generators::caterpillar(12, 2)),
+            ("disconnected gnp", disconnected),
+            ("udg", udg.graph().clone()),
+        ];
+        let mut ball = BallTree::default();
+        let mut bridged_anchors = 0;
+        for (name, g) in &graphs {
+            for mode in [RankingMode::StaticId, RankingMode::DegreeId] {
+                let mis = greedy_mis(g, mode);
+                let in_mis = g.membership(&mis);
+                for &u in &mis {
+                    let got = contributions_for(&mut ball, g, |w| in_mis[w], u);
+                    assert_eq!(got, per_pair_reference(g, &mis, u), "{name} {mode:?} anchor {u}");
+                    bridged_anchors += usize::from(!got.is_empty());
+                }
+            }
+        }
+        assert!(bridged_anchors > 20, "only {bridged_anchors} anchors had a 3-hop partner");
     }
 
     #[test]

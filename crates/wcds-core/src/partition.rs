@@ -12,7 +12,7 @@
 //!   so anchors are swept in parallel on the dependency-free thread
 //!   engine in [`wcds_graph::parallel`], each worker with its own
 //!   [`BallTree`], and the per-anchor contributions are unioned
-//!   serially in anchor order.
+//!   serially through one membership mask.
 //!
 //! The sweep is **thread-count invariant by construction**: workers own
 //! disjoint output slots and the reduction is serial in a fixed order.
@@ -21,7 +21,7 @@
 //! [`select_additional_dominators`].
 
 use crate::algo2::select_additional_dominators;
-use crate::maintenance::region::contributions_for;
+use crate::maintenance::region::{bridge_union, contributions_for};
 use crate::mis::{greedy_mis, RankingMode};
 use crate::{ConstructionResult, Wcds, WcdsConstruction};
 use std::collections::BTreeSet;
@@ -78,11 +78,8 @@ impl PartitionedTwo {
     fn parts(&self, g: &Graph) -> (Vec<NodeId>, Vec<NodeId>) {
         let nthreads = self.nthreads.unwrap_or_else(parallel::threads);
         let mis = greedy_mis(g, RankingMode::StaticId);
-        let mut additional = BTreeSet::new();
-        for (_, contribution) in bridge_contributions(g, &mis, nthreads) {
-            additional.extend(contribution);
-        }
-        let additional: Vec<NodeId> = additional.into_iter().collect();
+        let per_anchor = bridge_contributions(g, &mis, nthreads);
+        let additional = bridge_union(g.node_count(), per_anchor.into_iter().map(|(_, set)| set));
         if g.node_count() <= ORACLE_MAX_NODES {
             assert_eq!(
                 additional,

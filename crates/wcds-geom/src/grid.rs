@@ -60,6 +60,8 @@ impl GridIndex {
         self.len == 0
     }
 
+    /// The cell of `p`. The float-to-int casts saturate, so every
+    /// coordinate at or beyond ±2^63 cells shares the border key.
     #[inline]
     fn key(cell: f64, p: Point) -> (i64, i64) {
         ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
@@ -90,8 +92,10 @@ impl GridIndex {
         let reach = (r / self.cell).ceil() as i64;
         let (cx, cy) = Self::key(self.cell, center);
         let r2 = r * r;
-        for gx in (cx - reach)..=(cx + reach) {
-            for gy in (cy - reach)..=(cy + reach) {
+        // keys saturate at ±2^63 for huge coordinates, so the window
+        // must saturate too: a wrapped range would be empty
+        for gx in cx.saturating_sub(reach)..=cx.saturating_add(reach) {
+            for gy in cy.saturating_sub(reach)..=cy.saturating_add(reach) {
                 if let Some(bucket) = self.cells.get(&(gx, gy)) {
                     for &i in bucket {
                         if points[i].distance_squared(center) <= r2 {
@@ -154,11 +158,15 @@ impl GridIndex {
 /// allocation per occupied cell, a hash probe per insert and per query
 /// cell), `DenseGrid` lays the same cells out flat: integer cell
 /// coordinates over the point set's bounding box, one counting pass, a
-/// prefix sum, and one fill pass into a single `slots` array. Building is
-/// two linear scans with zero hashing; a query walks the 3×3 block as
-/// contiguous slices. This is the index behind the large-`n` static UDG
-/// build — [`GridIndex`] remains the right structure when the point set
-/// mutates (`push`/`relocate`).
+/// prefix sum, and one fill pass into a single `slots` array. Each slot
+/// keeps its point's coordinates beside its index, so a scan reads
+/// memory in order instead of indexing the caller's points at random.
+/// Building is two linear scans with zero hashing; a query walks the
+/// 3×3 block as contiguous slices, and
+/// [`DenseGrid::for_each_close_pair`] enumerates every pair within one
+/// cell size in cell order. This is the index behind the large-`n`
+/// static UDG build — [`GridIndex`] remains the right structure when
+/// the point set mutates (`push`/`relocate`).
 ///
 /// The cell array is dense over the bounding box, so memory is
 /// `O(cells)`, not `O(occupied cells)`: callers should prefer
@@ -173,7 +181,7 @@ impl GridIndex {
 /// let pts = vec![Point::new(0.0, 0.0), Point::new(0.5, 0.0), Point::new(3.0, 3.0)];
 /// let idx = DenseGrid::build(&pts, 1.0);
 /// let mut near = Vec::new();
-/// idx.for_each_within(&pts, pts[0], 1.0, |i| near.push(i));
+/// idx.for_each_within(pts[0], 1.0, |i| near.push(i));
 /// near.sort_unstable();
 /// assert_eq!(near, vec![0, 1]);
 /// ```
@@ -182,13 +190,16 @@ pub struct DenseGrid {
     cell: f64,
     min_x: f64,
     min_y: f64,
-    /// Grid dimensions; `gx * gy` cells cover the bounding box.
+    /// Grid dimensions; `gx * gy` cells cover the bounding box, and cell
+    /// `(cx, cy)` is number `cx * gy + cy`, so a column's cells are
+    /// adjacent in `slots`.
     gx: usize,
     gy: usize,
     /// CSR over cells: cell `c` owns `slots[offsets[c]..offsets[c + 1]]`.
     offsets: Vec<u32>,
-    /// Point indices grouped by cell, in input order within each cell.
-    slots: Vec<u32>,
+    /// Point indices grouped by cell, in input order within each cell,
+    /// each with its coordinates.
+    slots: Vec<(u32, Point)>,
 }
 
 impl DenseGrid {
@@ -239,10 +250,10 @@ impl DenseGrid {
             offsets[i] += offsets[i - 1];
         }
         let mut cursor: Vec<u32> = offsets[..gx * gy].to_vec();
-        let mut slots = vec![0u32; points.len()];
+        let mut slots = vec![(0u32, Point::origin()); points.len()];
         for (i, p) in points.iter().enumerate() {
             let c = cell_of(p);
-            slots[cursor[c] as usize] = i as u32;
+            slots[cursor[c] as usize] = (i as u32, *p);
             cursor[c] += 1;
         }
         Self { cell, min_x, min_y, gx, gy, offsets, slots }
@@ -267,51 +278,95 @@ impl DenseGrid {
         self.gx * self.gy
     }
 
+    /// The slots of cells `first..=last` of one column, which are
+    /// adjacent in `slots` (empty if a cell is out of range).
+    fn run(&self, first: usize, last: usize) -> &[(u32, Point)] {
+        let from = self.offsets.get(first).map_or(0, |&o| o as usize);
+        let to = self.offsets.get(last + 1).map_or(0, |&o| o as usize);
+        self.slots.get(from..to).unwrap_or_default()
+    }
+
     /// Visits the index of every point within distance `r` of `center`
     /// (inclusive), including `center` itself if indexed.
     ///
-    /// `points` must be the slice the index was built from (checked by
-    /// length in debug builds). Visit order is deterministic for a fixed
-    /// build: cells in row-major block order, points in input order
-    /// within a cell. `center` may lie outside the bounding box (the
-    /// scan window clamps to it).
-    pub fn for_each_within<F: FnMut(usize)>(
-        &self,
-        points: &[Point],
-        center: Point,
-        r: f64,
-        mut f: F,
-    ) {
-        debug_assert_eq!(points.len(), self.len(), "index/point-set mismatch");
+    /// Visit order is deterministic for a fixed build: cells in
+    /// row-major block order, points in input order within a cell.
+    /// `center` may lie outside the bounding box (the scan window clamps
+    /// to it).
+    pub fn for_each_within<F: FnMut(usize)>(&self, center: Point, r: f64, mut f: F) {
         if self.slots.is_empty() {
             return;
         }
         let reach = (r / self.cell).ceil() as i64;
         let cx = ((center.x - self.min_x) / self.cell).floor() as i64;
         let cy = ((center.y - self.min_y) / self.cell).floor() as i64;
-        let x0 = (cx - reach).max(0);
-        let x1 = (cx + reach).min(self.gx as i64 - 1);
-        let y0 = (cy - reach).max(0);
-        let y1 = (cy + reach).min(self.gy as i64 - 1);
+        let x0 = cx.saturating_sub(reach).max(0);
+        let x1 = cx.saturating_add(reach).min(self.gx as i64 - 1);
+        let y0 = cy.saturating_sub(reach).max(0);
+        let y1 = cy.saturating_add(reach).min(self.gy as i64 - 1);
+        if y0 > y1 {
+            return;
+        }
         let r2 = r * r;
         for bx in x0..=x1 {
-            for by in y0..=y1 {
-                let c = bx as usize * self.gy + by as usize;
-                let row = &self.slots[self.offsets[c] as usize..self.offsets[c + 1] as usize];
-                for &i in row {
-                    if points[i as usize].distance_squared(center) <= r2 {
-                        f(i as usize);
-                    }
+            let column = bx as usize * self.gy;
+            for &(i, p) in self.run(column + y0 as usize, column + y1 as usize) {
+                if p.distance_squared(center) <= r2 {
+                    f(i as usize);
                 }
             }
         }
     }
 
     /// Counts the points within distance `r` of `center`.
-    pub fn count_within(&self, points: &[Point], center: Point, r: f64) -> usize {
+    pub fn count_within(&self, center: Point, r: f64) -> usize {
         let mut n = 0;
-        self.for_each_within(points, center, r, |_| n += 1);
+        self.for_each_within(center, r, |_| n += 1);
         n
+    }
+
+    /// Visits every unordered pair of indexed points at most one cell
+    /// size apart (inclusive) exactly once, as `(i, j)` in the order
+    /// their slots are met, `i` first.
+    ///
+    /// The scan runs in cell order and checks each cell against its
+    /// own later slots, the cell above it and the three cells of the
+    /// next column — the half of the 3×3 block that covers each pair of
+    /// neighbouring cells once. The distance test is
+    /// [`Point::distance_squared`] against the squared cell size, the
+    /// test [`DenseGrid::for_each_within`] applies at radius `cell`, so
+    /// the pairs are exactly the ones those queries find.
+    pub fn for_each_close_pair<F: FnMut(u32, u32)>(&self, mut f: F) {
+        let r2 = self.cell * self.cell;
+        let mut scan = |i: u32, p: Point, run: &[(u32, Point)]| {
+            for &(j, q) in run {
+                if q.distance_squared(p) <= r2 {
+                    f(i, j);
+                }
+            }
+        };
+        let (gx, gy) = (self.gx, self.gy);
+        for cx in 0..gx {
+            for cy in 0..gy {
+                let c = cx * gy + cy;
+                let own = self.run(c, c).len();
+                // this cell's slots, then the cell above it
+                let mut rest = self.run(c, if cy + 1 < gy { c + 1 } else { c });
+                let right = if cx + 1 < gx {
+                    let next = c + gy;
+                    let first = if cy > 0 { next - 1 } else { next };
+                    self.run(first, if cy + 1 < gy { next + 1 } else { next })
+                } else {
+                    &[]
+                };
+                for _ in 0..own {
+                    let Some((&(i, p), later)) = rest.split_first() else { break };
+                    scan(i, p, later);
+                    scan(i, p, right);
+                    rest = later;
+                }
+            }
+        }
     }
 }
 
@@ -424,12 +479,33 @@ mod tests {
     }
 
     #[test]
+    fn huge_coordinates_share_the_saturated_cell() {
+        // past |x| = 2^63 cells every key saturates to the border key;
+        // the query window must saturate with it, not wrap to nothing
+        let pts = vec![
+            Point::new(1e300, 0.0),
+            Point::new(1e300, 0.5),
+            Point::new(-1e300, 0.0),
+            Point::new(-1e300, 0.9),
+            Point::new(0.0, 0.0),
+        ];
+        let idx = GridIndex::build(&pts, 1.0);
+        for probe in 0..pts.len() {
+            let mut got = idx.neighbors_within(&pts, pts[probe], 1.0);
+            got.sort_unstable();
+            assert_eq!(got, brute_force(&pts, pts[probe], 1.0), "probe {probe}");
+        }
+        let dense = DenseGrid::build(&pts[4..], 1.0);
+        assert_eq!(dense.count_within(Point::new(1e300, -1e300), 1.0), 0);
+    }
+
+    #[test]
     fn dense_matches_brute_force_on_random_points() {
         let pts = deploy::uniform(300, 8.0, 8.0, 7);
         let idx = DenseGrid::build(&pts, 1.0);
         for probe in 0..pts.len() {
             let mut got = Vec::new();
-            idx.for_each_within(&pts, pts[probe], 1.0, |i| got.push(i));
+            idx.for_each_within(pts[probe], 1.0, |i| got.push(i));
             got.sort_unstable();
             assert_eq!(got, brute_force(&pts, pts[probe], 1.0), "probe {probe}");
         }
@@ -453,7 +529,7 @@ mod tests {
             for (k, &c) in probes.iter().enumerate() {
                 for r in [0.7, 1.0, 2.3] {
                     let mut a = Vec::new();
-                    dense.for_each_within(&pts, c, r, |i| a.push(i));
+                    dense.for_each_within(c, r, |i| a.push(i));
                     a.sort_unstable();
                     let mut b = hash.neighbors_within(&pts, c, r);
                     b.sort_unstable();
@@ -477,22 +553,22 @@ mod tests {
         let idx = DenseGrid::build(&pts, 1.0);
         for (i, &p) in pts.iter().enumerate() {
             let mut got = Vec::new();
-            idx.for_each_within(&pts, p, 1.0, |j| got.push(j));
+            idx.for_each_within(p, 1.0, |j| got.push(j));
             assert!(got.contains(&i), "point {i} not found at its own position");
         }
-        assert_eq!(idx.count_within(&pts, Point::new(3.0, 2.0), 1.0), 1);
+        assert_eq!(idx.count_within(Point::new(3.0, 2.0), 1.0), 1);
     }
 
     #[test]
     fn dense_empty_and_degenerate() {
         let empty = DenseGrid::build(&[], 1.0);
         assert!(empty.is_empty());
-        assert_eq!(empty.count_within(&[], Point::origin(), 5.0), 0);
+        assert_eq!(empty.count_within(Point::origin(), 5.0), 0);
         // all points coincident: one cell, everything within any radius
         let pts = vec![Point::new(2.0, 2.0); 17];
         let idx = DenseGrid::build(&pts, 1.0);
         assert_eq!(idx.cell_count(), 1);
-        assert_eq!(idx.count_within(&pts, pts[0], 0.5), 17);
+        assert_eq!(idx.count_within(pts[0], 0.5), 17);
     }
 
     #[test]
@@ -500,7 +576,7 @@ mod tests {
         let pts = vec![Point::new(-0.5, -0.5), Point::new(-1.2, -0.6), Point::new(2.0, 2.0)];
         let idx = DenseGrid::build(&pts, 1.0);
         let mut got = Vec::new();
-        idx.for_each_within(&pts, pts[0], 1.0, |i| got.push(i));
+        idx.for_each_within(pts[0], 1.0, |i| got.push(i));
         got.sort_unstable();
         assert_eq!(got, vec![0, 1]);
     }
@@ -519,9 +595,9 @@ mod tests {
         let b = DenseGrid::build(&pts, 1.0);
         for probe in (0..pts.len()).step_by(11) {
             let mut va = Vec::new();
-            a.for_each_within(&pts, pts[probe], 1.0, |i| va.push(i));
+            a.for_each_within(pts[probe], 1.0, |i| va.push(i));
             let mut vb = Vec::new();
-            b.for_each_within(&pts, pts[probe], 1.0, |i| vb.push(i));
+            b.for_each_within(pts[probe], 1.0, |i| vb.push(i));
             assert_eq!(va, vb, "probe {probe}");
         }
     }

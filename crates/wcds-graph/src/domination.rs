@@ -61,27 +61,37 @@ pub fn is_connected_dominating_set(g: &Graph, s: &[NodeId]) -> bool {
 /// Isolated nodes of `g` itself are tolerated only if `g` is just those
 /// nodes (a dominating set of a graph with an isolated node must contain
 /// it).
+///
+/// One search of `g` from `s[0]` that follows only the edges of `G'`
+/// decides it, without building `G'`: `s` is a WCDS exactly when the
+/// search reaches every node. A node outside `s` is reached only along
+/// an edge from a node of `s`, so reaching every node implies
+/// domination; conversely a WCDS dominates every node, so each one
+/// touches `G'` and sits in the one component that holds `s`.
+///
+/// # Panics
+///
+/// Panics if a node of `s` is out of range.
 pub fn is_weakly_connected_dominating_set(g: &Graph, s: &[NodeId]) -> bool {
-    if !is_dominating_set(g, s) {
-        return false;
+    let in_s = g.membership(s);
+    let Some(&root) = s.first() else { return g.node_count() == 0 };
+    let member = |v: NodeId| in_s.get(v).copied().unwrap_or(false);
+    let mut seen = g.membership(&[root]);
+    let mut queue = vec![root];
+    let mut next = 0;
+    while let Some(&x) = queue.get(next) {
+        next += 1;
+        let x_in_s = member(x);
+        for y in g.adj(x) {
+            if let Some(seen_y) = seen.get_mut(y) {
+                if !*seen_y && (x_in_s || member(y)) {
+                    *seen_y = true;
+                    queue.push(y);
+                }
+            }
+        }
     }
-    if s.is_empty() {
-        return g.node_count() == 0;
-    }
-    // In a connected g, G' touches every node; in general we require all
-    // non-isolated nodes plus all of s to sit in one component of G'.
-    let w = g.weakly_induced(s);
-    let dist = traversal::multi_source_bfs(&w, std::iter::once(s[0]));
-    g.nodes().all(|u| dist[u].is_some() || (g.degree(u) == 0 && w.degree(u) == 0 && !involves(s, u)))
-        && single_component_covers(&dist, s)
-}
-
-fn involves(s: &[NodeId], u: NodeId) -> bool {
-    s.contains(&u)
-}
-
-fn single_component_covers(dist: &[Option<u32>], s: &[NodeId]) -> bool {
-    s.iter().all(|&u| dist[u].is_some())
+    queue.len() == g.node_count()
 }
 
 /// The number of nodes of `s` adjacent to `u` (not counting `u` itself).

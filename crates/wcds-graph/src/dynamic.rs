@@ -421,6 +421,33 @@ mod tests {
     }
 
     #[test]
+    fn moves_to_huge_coordinates_keep_their_edges() {
+        // cell keys saturate at ±2^63 past |x| = 9.2e18; the probe
+        // window must saturate with them instead of wrapping empty
+        let mut udg = DynamicUdg::new(
+            vec![
+                Point::new(1e300, 0.0),
+                Point::new(1e300, 0.5),
+                Point::new(0.0, 0.0),
+                Point::new(-1e300, 0.0),
+                Point::new(0.5, 0.0),
+            ],
+            1.0,
+        );
+        assert!(udg.graph().has_edge(0, 1));
+        for (u, p) in [
+            (0, Point::new(1e300, 0.1)),
+            (4, Point::new(-1e300, 0.7)),
+            (2, Point::new(1e300, 0.9)),
+            (0, Point::new(-1e300, -0.2)),
+        ] {
+            udg.move_node(u, p);
+            assert_matches_rebuild(&udg);
+        }
+        assert!(udg.graph().has_edge(1, 2) && udg.graph().has_edge(0, 3));
+    }
+
+    #[test]
     fn mirrors_the_static_builder_from_any_start() {
         let udg = DynamicUdg::new(deploy::uniform(500, 10.0, 10.0, 77), 1.0);
         assert_matches_rebuild(&udg);

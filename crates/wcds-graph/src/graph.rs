@@ -73,37 +73,6 @@ impl Graph {
         b.build()
     }
 
-    /// Assembles a graph directly from per-node sorted neighbor rows.
-    ///
-    /// `rows[u]` must be `u`'s complete neighbor list, sorted ascending,
-    /// duplicate-free, self-loop-free, and symmetric (`v ∈ rows[u]` iff
-    /// `u ∈ rows[v]`). This is the bulk path for builders that already
-    /// produce canonical rows (the parallel UDG construction): it skips
-    /// [`GraphBuilder`]'s global edge sort and yields the exact CSR the
-    /// builder would, byte for byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the half-edge total is odd or overflows `u32`; row
-    /// invariants are checked in debug builds only.
-    pub(crate) fn from_sorted_rows(rows: Vec<Vec<u32>>) -> Self {
-        let n = rows.len();
-        assert!(n <= u32::MAX as usize, "node ids must fit u32: n = {n}");
-        let half_edges: usize = rows.iter().map(Vec::len).sum();
-        assert!(half_edges.is_multiple_of(2), "asymmetric rows: {half_edges} half-edges");
-        assert!(half_edges <= u32::MAX as usize, "graph too large for u32 CSR offsets");
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(half_edges);
-        offsets.push(0u32);
-        for (u, row) in rows.iter().enumerate() {
-            debug_assert!(row.windows(2).all(|w| w[0] < w[1]), "row {u} not sorted unique");
-            debug_assert!(!row.contains(&(u as u32)), "self-loop at {u}");
-            targets.extend_from_slice(row);
-            offsets.push(targets.len() as u32);
-        }
-        Self { offsets, targets, edge_count: half_edges / 2 }
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -298,8 +267,8 @@ impl Graph {
             })
     }
 
-    /// Reassembles a graph from spliced CSR rows, re-validating the row
-    /// invariants in debug builds.
+    /// Assembles a graph from CSR rows (spliced, compacted or built
+    /// pair by pair), re-validating the row invariants in debug builds.
     pub(crate) fn from_rows(offsets: Vec<u32>, targets: Vec<u32>, edge_count: usize) -> Graph {
         debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(targets.len()));
         debug_assert_eq!(targets.len(), edge_count * 2);

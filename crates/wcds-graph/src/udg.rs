@@ -1,4 +1,4 @@
-use crate::{parallel, Graph, GraphBuilder, NodeId};
+use crate::{Graph, GraphBuilder, NodeId};
 use wcds_geom::{DenseGrid, GridIndex, Point};
 
 /// A unit-disk graph: node positions plus the induced adjacency.
@@ -33,30 +33,13 @@ pub struct UnitDiskGraph {
 impl UnitDiskGraph {
     /// Builds the UDG over `points` with transmission range `radius`.
     ///
-    /// Runs in `O(n + |E|)` expected time using a spatial index, with
-    /// [`parallel::threads`] worker threads (1 unless `WCDS_THREADS`
-    /// asks for more).
+    /// Runs in `O(n + |E|)` expected time on one thread, using a spatial
+    /// index; small deployments take a direct pairwise scan instead.
     ///
     /// # Panics
     ///
     /// Panics if `radius` is not strictly positive and finite.
     pub fn build(points: Vec<Point>, radius: f64) -> Self {
-        Self::build_with_threads(points, radius, parallel::threads())
-    }
-
-    /// [`UnitDiskGraph::build`] with an explicit worker count.
-    ///
-    /// The adjacency is **byte-identical for every `nthreads`**: workers
-    /// produce disjoint per-node neighbor rows (each sorted locally),
-    /// and the rows are concatenated in node order — no cross-thread
-    /// ordering can leak into the output. Small or sparse deployments
-    /// fall back to the serial scans regardless of `nthreads` (there the
-    /// thread spawn would cost more than the scan).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius` is not strictly positive and finite.
-    pub fn build_with_threads(points: Vec<Point>, radius: f64, nthreads: usize) -> Self {
         assert!(radius.is_finite() && radius > 0.0, "radius must be positive and finite");
         let (w, h) = bounding_extent(&points);
         let n = points.len();
@@ -65,7 +48,7 @@ impl UnitDiskGraph {
         } else if dense_grid_wasteful(n, radius, w, h) {
             grid_scan(&points, radius)
         } else {
-            dense_scan(&points, radius, nthreads.max(1))
+            dense_scan(&points, radius)
         };
         Self { radius, graph, points }
     }
@@ -248,30 +231,51 @@ fn grid_scan(points: &[Point], radius: f64) -> Graph {
     b.build()
 }
 
-/// The batched UDG builder: one [`DenseGrid`] counting-sort index, then
-/// per-node neighbor rows — each node's row is an independent radius
-/// query, so rows are produced on [`parallel::map_indices`] workers and
-/// assembled in node order. Every row is sorted locally, which makes the
-/// CSR byte-identical to [`GraphBuilder`]'s output (and hence identical
-/// for every thread count).
-fn dense_scan(points: &[Point], radius: f64, nthreads: usize) -> Graph {
+/// The dense UDG builder, straight into one CSR: a [`DenseGrid`] index
+/// enumerates every pair within `radius` once, in cell order; degrees
+/// are counted, prefix-summed into the row offsets, both ends of each
+/// pair scattered into one `targets` array, and every row sorted. The
+/// rows are then the sorted neighbour sets, so the CSR is
+/// byte-identical to [`GraphBuilder`]'s.
+fn dense_scan(points: &[Point], radius: f64) -> Graph {
     let index = DenseGrid::build(points, radius);
-    let rows = parallel::map_indices(
-        nthreads,
-        points.len(),
-        || (),
-        |_, u| {
-            let mut row: Vec<u32> = Vec::new();
-            index.for_each_within(points, points[u], radius, |v| {
-                if v != u {
-                    row.push(v as u32);
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    index.for_each_close_pair(|i, j| pairs.push((i, j)));
+    drop(index);
+    assert!(pairs.len() * 2 <= u32::MAX as usize, "graph too large for u32 CSR offsets");
+    let mut offsets = vec![0u32; points.len() + 1];
+    for &(i, j) in &pairs {
+        for end in [i, j] {
+            if let Some(count) = offsets.get_mut(end as usize + 1) {
+                *count += 1;
+            }
+        }
+    }
+    let mut total = 0;
+    for offset in &mut offsets {
+        total += *offset;
+        *offset = total;
+    }
+    let mut cursor = offsets.clone();
+    let mut targets = vec![0u32; pairs.len() * 2];
+    for &(i, j) in &pairs {
+        for (from, to) in [(i, j), (j, i)] {
+            if let Some(at) = cursor.get_mut(from as usize) {
+                if let Some(slot) = targets.get_mut(*at as usize) {
+                    *slot = to;
                 }
-            });
-            row.sort_unstable();
-            row
-        },
-    );
-    Graph::from_sorted_rows(rows)
+                *at += 1;
+            }
+        }
+    }
+    for bounds in offsets.windows(2) {
+        if let &[from, to] = bounds {
+            if let Some(row) = targets.get_mut(from as usize..to as usize) {
+                row.sort_unstable();
+            }
+        }
+    }
+    Graph::from_rows(offsets, targets, pairs.len())
 }
 
 /// The pairwise UDG builder (`O(n²)`, but branch-predictable and
@@ -299,9 +303,7 @@ fn torus_grid_scan(canon: &[Point], radius: f64, width: f64, height: f64) -> Gra
         })
     } else {
         let index = DenseGrid::build(canon, radius);
-        torus_scan_impl(canon, radius, width, height, |q, f| {
-            index.for_each_within(canon, q, radius, f)
-        })
+        torus_scan_impl(canon, radius, width, height, |q, f| index.for_each_within(q, radius, f))
     }
 }
 
@@ -527,7 +529,7 @@ mod tests {
             let pts = deploy::uniform(n, side, side, seed);
             let want = direct_scan(&pts, 1.0);
             assert_eq!(grid_scan(&pts, 1.0), want, "flat hash n={n} side={side}");
-            assert_eq!(dense_scan(&pts, 1.0, 1), want, "flat dense n={n} side={side}");
+            assert_eq!(dense_scan(&pts, 1.0), want, "flat dense n={n} side={side}");
             assert_eq!(
                 torus_grid_scan(&pts, 1.0, side, side),
                 torus_direct_scan(&pts, 1.0, side, side),
@@ -536,24 +538,77 @@ mod tests {
         }
     }
 
+    /// Layouts that stress the dense build's cell arithmetic at radius
+    /// `r`: pairs exactly `r` apart on the axes (a lattice on the cell
+    /// boundaries) and on 3-4-5 diagonals (a rotated lattice reaching
+    /// into negative coordinates), coincident points, one-row and
+    /// one-column extents, and negative and far-offset scatters.
+    fn adversarial_layouts(r: f64) -> Vec<(&'static str, Vec<Point>)> {
+        let jitter = deploy::uniform(150, 9.0 * r, 7.0 * r, 3);
+        let lattice = (0..12)
+            .flat_map(|i| (0..9).map(move |j| Point::new(i as f64 * r, j as f64 * r)))
+            .collect();
+        let diagonal = (0..10i32)
+            .flat_map(|i| (0..10i32).map(move |j| (i, j)))
+            .map(|(i, j)| {
+                let (a, b) = (f64::from(3 * i - 4 * j), f64::from(4 * i + 3 * j));
+                Point::new(a * r / 5.0, b * r / 5.0)
+            })
+            .collect();
+        let coincident = jitter.iter().take(40).flat_map(|&p| [p, p, p]).collect();
+        let steps = deploy::uniform(120, 1.2 * r, 1.0, 4);
+        let mut x = 0.0;
+        let row: Vec<Point> = steps
+            .iter()
+            .enumerate()
+            .map(|(k, q)| {
+                x += if k % 5 == 0 { r } else { q.x };
+                Point::new(x, 2.0 * r)
+            })
+            .collect();
+        let column = row.iter().map(|p| Point::new(-r, p.x)).collect();
+        let negative = jitter.iter().map(|p| Point::new(p.x - 50.5 * r, p.y - 20.25 * r)).collect();
+        let offset = jitter.iter().map(|p| Point::new(1e6 + p.x, 1e6 + p.y)).collect();
+        let mixed = jitter
+            .iter()
+            .copied()
+            .chain((0..40).map(|k| Point::new(k as f64 * r / 4.0, r)))
+            .collect();
+        vec![
+            ("axis lattice", lattice),
+            ("3-4-5 lattice", diagonal),
+            ("coincident", coincident),
+            ("one row", row),
+            ("one column", column),
+            ("negative", negative),
+            ("offset 1e6", offset),
+            ("lattice over jitter", mixed),
+        ]
+    }
+
     #[test]
-    fn parallel_build_is_byte_identical_to_serial() {
-        // thread count must never leak into the adjacency: rows are
-        // per-node, sorted locally, concatenated in node order
-        for (n, side, seed) in [(800, 9.0, 17), (2500, 16.0, 18)] {
-            let pts = deploy::uniform(n, side, side, seed);
-            let serial = UnitDiskGraph::build_with_threads(pts.clone(), 1.0, 1);
-            for nthreads in [2, 3, 8] {
-                let par = UnitDiskGraph::build_with_threads(pts.clone(), 1.0, nthreads);
-                assert_eq!(par.graph(), serial.graph(), "n={n} nthreads={nthreads}");
+    fn dense_build_matches_direct_scan_on_adversarial_layouts() {
+        // small inputs never reach the dense path through `build`, so
+        // call it directly
+        for r in [0.5, 1.0, 2.5] {
+            for (name, pts) in adversarial_layouts(r) {
+                assert_eq!(dense_scan(&pts, r), direct_scan(&pts, r), "{name} at r = {r}");
             }
-            assert_eq!(*serial.graph(), legacy_reference(&pts, 1.0), "n={n}");
         }
     }
 
-    /// Quadratic reference used by the thread-identity test.
-    fn legacy_reference(points: &[Point], radius: f64) -> Graph {
-        direct_scan(points, radius)
+    #[test]
+    fn far_points_keep_their_edges_on_the_hash_path() {
+        // two points 0.5 apart at x = 1e300 share the saturated cell key
+        let mut pts = deploy::uniform(2000, 40.0, 40.0, 41);
+        pts.extend([Point::new(1e300, 0.0), Point::new(1e300, 0.5)]);
+        let (w, h) = bounding_extent(&pts);
+        assert!(
+            dense_grid_wasteful(pts.len(), 1.0, w, h) && !grid_is_overkill(pts.len(), 1.0, w, h)
+        );
+        let udg = UnitDiskGraph::build(pts.clone(), 1.0);
+        assert!(udg.graph().has_edge(2000, 2001));
+        assert_eq!(*udg.graph(), direct_scan(&pts, 1.0));
     }
 
     #[test]

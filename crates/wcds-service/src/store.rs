@@ -1321,6 +1321,22 @@ mod tests {
         assert_eq!(store.create("lone", isolated).unwrap(), (2, 0, true));
     }
 
+    /// A move to a huge finite coordinate keeps the moved node's
+    /// edges: the exported topology is still the unit-disk graph of its
+    /// points, so it creates again.
+    #[test]
+    fn moves_to_huge_coordinates_export_a_topology_that_creates_again() {
+        let store = Store::new();
+        let text = "nodes 3\nedge 0 1\npoint 0 1e300 0\npoint 1 1e300 0.5\npoint 2 0 0\n";
+        assert_eq!(store.create("far", text).unwrap(), (3, 1, true));
+        let (_, report) =
+            store.mutate("far", &Mutation::Move { node: 0, x: 1e300, y: 0.1 }).unwrap();
+        assert!(report.edges_removed.is_empty(), "{:?}", report.edges_removed);
+        let exported = store.export("far").unwrap();
+        assert!(io::from_text(&exported).unwrap().graph.has_edge(0, 1));
+        assert_eq!(store.create("again", &exported).unwrap(), (3, 1, true));
+    }
+
     /// A bundle's broadcast plan exists exactly when the graph is
     /// connected and the WCDS valid, the check the bundle constructor
     /// replaced with one search of the router's spanner: pinned on

@@ -183,6 +183,60 @@ fn weakly_induced_subgraph_laws() {
     }
 }
 
+/// The WCDS predicate as first written, the oracle for the copy-free
+/// check: copy the weakly induced subgraph `G'`, search it from `s[0]`,
+/// and require every member, and every node but an isolated
+/// non-member, to be reached.
+fn wcds_by_weakly_induced_copy(g: &Graph, s: &[usize]) -> bool {
+    if !domination::is_dominating_set(g, s) {
+        return false;
+    }
+    if s.is_empty() {
+        return g.node_count() == 0;
+    }
+    let w = g.weakly_induced(s);
+    let dist = traversal::multi_source_bfs(&w, std::iter::once(s[0]));
+    g.nodes()
+        .all(|u| dist[u].is_some() || (g.degree(u) == 0 && w.degree(u) == 0 && !s.contains(&u)))
+        && s.iter().all(|&u| dist[u].is_some())
+}
+
+#[test]
+fn copy_free_wcds_check_matches_the_weakly_induced_copy() {
+    let mut verdicts = [0usize; 2];
+    let mut check = |g: &Graph, s: &[usize], what: &str| {
+        let want = wcds_by_weakly_induced_copy(g, s);
+        assert_eq!(domination::is_weakly_connected_dominating_set(g, s), want, "{what}: {s:?}");
+        verdicts[usize::from(want)] += 1;
+    };
+    check(&Graph::empty(0), &[], "empty graph");
+    check(&Graph::empty(1), &[], "isolated node, empty set");
+    check(&Graph::empty(1), &[0], "isolated node in the set");
+    check(&Graph::empty(3), &[0, 2], "isolated node left out");
+    // dominating sets whose G' splits: two disjoint edges, and a path
+    // whose middle edge touches no member
+    check(&Graph::from_edges(4, [(0, 1), (2, 3)]), &[0, 2], "two components");
+    check(&generators::path(6), &[1, 4], "path split in G'");
+    check(&generators::path(6), &[1, 3, 4], "path joined in G'");
+    for case in 0..CASES {
+        let mut r = ChaCha12Rng::seed_from_u64(case ^ 0x5EED);
+        let n = r.gen_range(1usize..40);
+        // sparse random graphs have isolated nodes and many components
+        let sparse = generators::gnp(n, r.gen_range(0u32..25) as f64 / 100.0, case);
+        for g in [sparse, connected_graph(case)] {
+            for density in [0.0, 0.2, 0.5, 0.9, 1.0] {
+                let s: Vec<usize> = g.nodes().filter(|_| r.gen::<f64>() < density).collect();
+                check(&g, &s, &format!("case {case} density {density}"));
+            }
+            let (mis, additional) = AlgorithmTwo::new().construct_parts(&g);
+            check(&g, &mis, &format!("case {case} MIS"));
+            let all: Vec<usize> = mis.iter().chain(&additional).copied().collect();
+            check(&g, &all, &format!("case {case} Algorithm II"));
+        }
+    }
+    assert!(verdicts[0] > 50 && verdicts[1] > 50, "verdicts {verdicts:?}");
+}
+
 #[test]
 fn bfs_distances_satisfy_triangle_inequality_on_edges() {
     for case in 0..CASES {
