@@ -3,10 +3,6 @@
 //! PLANTED (panic-reachability #1): `decode` is a wire entry point and
 //! calls [`util::header_tag`], which unwraps on truncated frames — a
 //! one-byte hostile frame panics the worker.
-//!
-//! PLANTED (suppression control): `read_frame` unwraps too, behind a
-//! justified pragma — the golden test asserts it lands in
-//! `suppressed`, not `findings`.
 
 use std::io::Read;
 
@@ -34,8 +30,9 @@ fn body_for(tag: u8, _buf: &[u8]) -> Result<Frame, WireError> {
 
 pub fn read_frame(r: &mut impl Read) -> Frame {
     let mut hdr = [0u8; 2];
-    // analyze: allow(panic-site, "fixture control: proves a justified pragma reaches the suppressed list")
-    r.read_exact(&mut hdr).unwrap();
+    if r.read_exact(&mut hdr).is_err() {
+        return Frame::Ping;
+    }
     match decode(&hdr) {
         Ok(f) => f,
         Err(_) => Frame::Ping,

@@ -22,23 +22,23 @@
 //!   because a method name collides. Crates without a manifest
 //!   (fixture trees) may call anything.
 //!
+//! The same parse feeds the strict-file lints ([`crate::lints::check`]).
 //! [`analyze`] runs the three analyses ([`crate::reach`] panic
 //! reachability, [`crate::lockorder`] lock-order cycles and
-//! hold-across-blocking-IO), applies justified pragmas, and renders
-//! the machine-readable findings artifact. [`compare_baseline`] diffs
+//! hold-across-blocking-IO) over it, and [`report_json`] renders the
+//! machine-readable findings artifact. [`compare_baseline`] diffs
 //! a report against the checked-in burn-down baseline, keyed by
 //! `(analysis, kind, file, function)` with counts — line-free keys so
 //! unrelated edits don't churn the baseline.
 
-use crate::items::{self, FnItem};
+use crate::items::{self, FnItem, Site};
 use crate::json::Json;
-use crate::lexer::{lex, Pragma};
-use crate::lints::{self, Suppression};
+use crate::lexer::lex;
 use crate::{lockorder, reach};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Function index into [`Workspace::fns`].
@@ -48,10 +48,10 @@ pub type FnId = usize;
 pub struct Workspace {
     /// Every parsed function.
     pub fns: Vec<FnItem>,
-    /// Pragmas per file (path relative to the scan root).
-    pub pragmas: BTreeMap<String, Vec<Pragma>>,
-    /// Files scanned.
-    pub files: usize,
+    /// Every scanned file (path relative to the scan root) with its lint
+    /// sites outside every function body, which only the strict-file
+    /// policy reads.
+    pub files: BTreeMap<String, Vec<Site>>,
     by_name: HashMap<String, Vec<FnId>>,
     /// Every name a qualifier can legally target.
     containers: HashSet<String>,
@@ -100,7 +100,7 @@ pub fn scan(root: &Path) -> io::Result<Workspace> {
         names.sort();
         for name in names {
             let mut files = Vec::new();
-            lints::collect_rs(&crates_dir.join(&name).join("src"), &mut files)?;
+            collect_rs(&crates_dir.join(&name).join("src"), &mut files)?;
             files.sort();
             for path in files {
                 if let Ok(rel) = path.strip_prefix(root) {
@@ -112,7 +112,7 @@ pub fn scan(root: &Path) -> io::Result<Workspace> {
     let root_src = root.join("src");
     if root_src.is_dir() {
         let mut files = Vec::new();
-        lints::collect_rs(&root_src, &mut files)?;
+        collect_rs(&root_src, &mut files)?;
         files.sort();
         for path in files {
             if let Ok(rel) = path.strip_prefix(root) {
@@ -126,27 +126,39 @@ pub fn scan(root: &Path) -> io::Result<Workspace> {
     crate_names.sort();
     let mut ws = Workspace {
         fns: Vec::new(),
-        pragmas: BTreeMap::new(),
-        files: 0,
+        files: BTreeMap::new(),
         by_name: HashMap::new(),
         containers: HashSet::new(),
         deps: crate_deps(root, &crate_names),
     };
     for (rel, crate_name) in sources {
         let Ok(src) = fs::read_to_string(root.join(&rel)) else { continue };
-        ws.files += 1;
-        let lexed = lex(&src);
-        let fns = items::parse_file(&lexed.masked, &rel, &crate_name);
-        if !lexed.pragmas.is_empty() {
-            ws.pragmas.insert(rel.clone(), lexed.pragmas);
-        }
+        let (fns, loose) = items::parse_file(&lex(&src), &rel, &crate_name);
         ws.fns.extend(fns);
+        ws.files.insert(rel, loose);
     }
     for (id, f) in ws.fns.iter().enumerate() {
         ws.by_name.entry(f.name.clone()).or_default().push(id);
         ws.containers.extend(f.containers());
     }
     Ok(ws)
+}
+
+/// Appends every `.rs` file under `dir`, recursively, to `out`.
+///
+/// # Errors
+///
+/// I/O failure walking the tree.
+pub fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            collect_rs(&path, out)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
 }
 
 /// Reads each crate's `Cargo.toml` `[dependencies]` section, keeps the
@@ -321,22 +333,10 @@ pub struct AnalysisFinding {
     pub witness: Vec<String>,
 }
 
-/// The pragma lint name that suppresses a finding of this kind.
-pub fn pragma_lint(f: &AnalysisFinding) -> &'static str {
-    match f.analysis {
-        "panic-reachability" => f.kind, // panic-site / slice-index
-        "lock-order" => "lock-order",
-        _ => "hold-across-io",
-    }
-}
-
 /// Outcome of the full interprocedural pass.
 pub struct AnalysisReport {
-    /// Findings that survived pragma suppression, sorted by
-    /// (analysis, file, line).
+    /// Findings, sorted by (analysis, file, line).
     pub findings: Vec<AnalysisFinding>,
-    /// Pragma-suppressed findings (audited, never silent).
-    pub suppressed: Vec<Suppression>,
     /// Functions parsed.
     pub fns: usize,
     /// Files scanned.
@@ -347,65 +347,37 @@ pub struct AnalysisReport {
     pub entries: usize,
     /// Functions reachable from the entry points.
     pub reachable: usize,
-    /// Wall-clock for the whole pass.
+    /// Wall-clock for the call graph and the analyses (the scan they
+    /// share with the lints is not counted).
     pub elapsed_ms: u128,
 }
 
 impl AnalysisReport {
-    /// True when no finding survived suppression.
+    /// True when there is no finding.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
 }
 
-/// Runs the full interprocedural pass over the tree at `root`.
-///
-/// # Errors
-///
-/// Propagates scan I/O failures.
-pub fn analyze(root: &Path) -> io::Result<AnalysisReport> {
+/// Runs the full interprocedural pass over a scanned workspace.
+pub fn analyze(ws: &Workspace) -> AnalysisReport {
     let started = Instant::now();
-    let ws = scan(root)?;
     let graph = ws.call_graph();
-    let (entries, reachable_count, mut raw) = reach::run(&ws, &graph);
-    raw.extend(lockorder::run(&ws, &graph));
-
-    let mut findings = Vec::new();
-    let mut suppressed = Vec::new();
-    let empty = Vec::new();
-    for f in raw {
-        let pragmas = ws.pragmas.get(&f.file).unwrap_or(&empty);
-        let lint = pragma_lint(&f);
-        let hit = pragmas.iter().find(|p| {
-            p.lint == lint
-                && !p.justification.trim().is_empty()
-                && (p.line == f.line || p.line + 1 == f.line)
-        });
-        match hit {
-            Some(p) => suppressed.push(Suppression {
-                file: f.file.clone(),
-                line: f.line,
-                lint: lint.to_string(),
-                justification: p.justification.clone(),
-            }),
-            None => findings.push(f),
-        }
-    }
+    let (entries, reachable_count, mut findings) = reach::run(ws, &graph);
+    findings.extend(lockorder::run(ws, &graph));
     findings.sort_by(|a, b| {
         (a.analysis, &a.file, a.line, a.kind).cmp(&(b.analysis, &b.file, b.line, b.kind))
     });
-    suppressed.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
 
-    Ok(AnalysisReport {
+    AnalysisReport {
         findings,
-        suppressed,
         fns: ws.fns.len(),
-        files: ws.files,
+        files: ws.files.len(),
         edges: graph.edge_count,
         entries,
         reachable: reachable_count,
         elapsed_ms: started.elapsed().as_millis(),
-    })
+    }
 }
 
 /// Renders the machine-readable findings artifact.
@@ -428,20 +400,8 @@ pub fn report_json(report: &AnalysisReport) -> Json {
             ])
         })
         .collect();
-    let suppressed = report
-        .suppressed
-        .iter()
-        .map(|s| {
-            Json::Obj(vec![
-                ("file".into(), Json::Str(s.file.clone())),
-                ("line".into(), Json::Num(s.line as i64)),
-                ("lint".into(), Json::Str(s.lint.clone())),
-                ("justification".into(), Json::Str(s.justification.clone())),
-            ])
-        })
-        .collect();
     Json::Obj(vec![
-        ("version".into(), Json::Num(1)),
+        ("version".into(), Json::Num(2)),
         (
             "analyses".into(),
             Json::Arr(
@@ -463,7 +423,6 @@ pub fn report_json(report: &AnalysisReport) -> Json {
             ]),
         ),
         ("findings".into(), Json::Arr(findings)),
-        ("suppressed".into(), Json::Arr(suppressed)),
     ])
 }
 
@@ -583,15 +542,15 @@ mod tests {
         // (rel, crate, src)
         let mut ws = Workspace {
             fns: Vec::new(),
-            pragmas: BTreeMap::new(),
-            files: files.len(),
+            files: BTreeMap::new(),
             by_name: HashMap::new(),
             containers: HashSet::new(),
             deps: HashMap::new(),
         };
         for (rel, krate, src) in files {
-            let lexed = lex(src);
-            ws.fns.extend(items::parse_file(&lexed.masked, rel, krate));
+            let (fns, loose) = items::parse_file(&lex(src), rel, krate);
+            ws.fns.extend(fns);
+            ws.files.insert(rel.to_string(), loose);
         }
         for (id, f) in ws.fns.iter().enumerate() {
             ws.by_name.entry(f.name.clone()).or_default().push(id);
@@ -702,7 +661,6 @@ mod tests {
         };
         let report = AnalysisReport {
             findings: vec![f("a.rs", "x"), f("a.rs", "x"), f("b.rs", "y")],
-            suppressed: Vec::new(),
             fns: 0,
             files: 0,
             edges: 0,

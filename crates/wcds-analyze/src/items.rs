@@ -11,8 +11,10 @@
 //!   class `topo`), with the classes already held (lock-order edges);
 //! * **blocking calls** — socket reads/writes, `thread::sleep`,
 //!   channel `recv`, condvar `wait` — with held classes;
-//! * **panic sites and slice indexing** — the lexical scanners from
-//!   [`crate::lints`], attributed to their enclosing function.
+//! * **lint sites** — panic sites, slice indexing and narrowing `as`
+//!   casts from the lexical scanners in [`crate::lints`], attributed to
+//!   their enclosing function; a site outside every function body (a
+//!   `static` initializer) is kept per file for the strict-file policy.
 //!
 //! This is not a Rust parser: it is a brace/statement tracker tuned to
 //! the rustfmt-shaped code in this workspace, and it over-approximates
@@ -20,13 +22,14 @@
 //! to live to the end of its enclosing block). `#[cfg(test)]` regions
 //! are excluded — tests may panic and lock freely.
 //!
-//! Guard liveness follows the nested-lock lint's model: an acquisition
-//! whose statement is a `let` binding (directly, through `.map_err(…)?`
-//! chains, or wrapped in `match`/`if let`) lives until its block closes
-//! or an explicit `drop(name)`; any other acquisition is a temporary
-//! that dies at the end of its statement.
+//! Guard liveness, the one model the lock analyses and the store's
+//! nested-lock lint share: an acquisition whose statement is a `let`
+//! binding (directly, through `.map_err(…)?` chains, or wrapped in
+//! `match`/`if let`) lives until its block closes or an explicit
+//! `drop(name)`; any other acquisition is a temporary that dies at the
+//! end of its statement.
 
-use crate::lints::{self, RawFinding};
+use crate::lints;
 use std::collections::BTreeSet;
 
 /// One parsed function with everything the analyses need.
@@ -52,10 +55,8 @@ pub struct FnItem {
     pub acquires: Vec<Acquire>,
     /// Blocking calls in source order.
     pub blocking: Vec<Blocking>,
-    /// Panic sites (`unwrap`/`expect`/`panic!`-family) by line.
-    pub panic_sites: Vec<Site>,
-    /// `x[i]` slice-indexing sites by line.
-    pub index_sites: Vec<Site>,
+    /// Lint sites in the body, by line.
+    pub sites: Vec<Site>,
 }
 
 impl FnItem {
@@ -128,11 +129,13 @@ pub struct Blocking {
     pub held: Vec<String>,
 }
 
-/// A panic or slice-index site.
+/// A lint site found by a lexical scanner.
 #[derive(Debug, Clone)]
 pub struct Site {
     /// 1-based line.
     pub line: usize,
+    /// `panic-site`, `slice-index` or `as-truncation`.
+    pub lint: &'static str,
     /// The lint message from the lexical scanner.
     pub message: String,
 }
@@ -189,11 +192,12 @@ enum FrameKind {
     Fn { idx: usize, guards: Vec<Guard> },
 }
 
-/// Parses one masked file into its functions.
+/// Parses one masked file into its functions and the lint sites that
+/// fall outside every function body.
 ///
 /// `rel` is the path relative to the scan root; `crate_name` the
 /// owning crate. Test regions are excluded.
-pub fn parse_file(masked: &str, rel: &str, crate_name: &str) -> Vec<FnItem> {
+pub fn parse_file(masked: &str, rel: &str, crate_name: &str) -> (Vec<FnItem>, Vec<Site>) {
     let excluded = lints::test_region_lines(masked);
     let bytes = masked.as_bytes();
     let mut fns: Vec<FnItem> = Vec::new();
@@ -318,9 +322,9 @@ pub fn parse_file(masked: &str, rel: &str, crate_name: &str) -> Vec<FnItem> {
         }
     }
 
-    attach_sites(masked, &excluded, &mut fns);
     fns.retain(|f| !excluded.contains(&f.line));
-    fns
+    let loose = attach_sites(masked, &excluded, &mut fns);
+    (fns, loose)
 }
 
 /// The innermost enclosing function frame.
@@ -383,8 +387,7 @@ fn classify_header(
             calls: Vec::new(),
             acquires: Vec::new(),
             blocking: Vec::new(),
-            panic_sites: Vec::new(),
-            index_sites: Vec::new(),
+            sites: Vec::new(),
         });
         return FrameKind::Fn { idx: fns.len() - 1, guards: Vec::new() };
     }
@@ -840,33 +843,33 @@ fn call_at(
     })
 }
 
-/// Runs the lexical panic/slice-index scanners and attributes each hit
-/// to the innermost function whose body spans its line.
-fn attach_sites(masked: &str, excluded: &BTreeSet<usize>, fns: &mut [FnItem]) {
-    let mut raw: Vec<RawFinding> = Vec::new();
+/// Runs the lexical scanners and attributes each site to the innermost
+/// function whose body spans its line; returns the sites no function
+/// owns.
+fn attach_sites(masked: &str, excluded: &BTreeSet<usize>, fns: &mut [FnItem]) -> Vec<Site> {
+    let mut sites: Vec<Site> = Vec::new();
     for (idx, line) in masked.lines().enumerate() {
         let line_no = idx + 1;
         if excluded.contains(&line_no) {
             continue;
         }
-        lints::scan_panic_sites(line, line_no, &mut raw);
-        lints::scan_slice_index(line, line_no, &mut raw);
+        lints::scan_panic_sites(line, line_no, &mut sites);
+        lints::scan_slice_index(line, line_no, &mut sites);
+        lints::scan_as_truncation(line, line_no, &mut sites);
     }
-    for f in raw {
+    let mut loose = Vec::new();
+    for site in sites {
         // innermost = the latest-starting function containing the line
         let owner = fns
             .iter_mut()
-            .filter(|it| it.line <= f.line && f.line <= it.end_line)
+            .filter(|it| it.line <= site.line && site.line <= it.end_line)
             .max_by_key(|it| it.line);
-        if let Some(it) = owner {
-            let site = Site { line: f.line, message: f.message };
-            if f.lint == "panic-site" {
-                it.panic_sites.push(site);
-            } else {
-                it.index_sites.push(site);
-            }
+        match owner {
+            Some(it) => it.sites.push(site),
+            None => loose.push(site),
         }
     }
+    loose
 }
 
 #[cfg(test)]
@@ -875,7 +878,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn parse(src: &str) -> Vec<FnItem> {
-        parse_file(&lex(src).masked, "crates/x/src/a.rs", "x")
+        parse_file(&lex(src), "crates/x/src/a.rs", "x").0
     }
 
     #[test]
@@ -986,11 +989,15 @@ mod tests {
 
     #[test]
     fn attaches_panic_and_index_sites_to_the_enclosing_fn() {
-        let src = "fn a(x: Option<u8>) -> u8 { x.unwrap() }\nfn b(v: &[u8], i: usize) -> u8 { v[i] }\n";
-        let fns = parse(src);
-        assert_eq!(fns[0].panic_sites.len(), 1);
-        assert!(fns[0].index_sites.is_empty());
-        assert_eq!(fns[1].index_sites.len(), 1);
+        let src = "fn a(x: Option<u8>) -> u8 { x.unwrap() }\nfn b(v: &[u8], i: usize) -> u8 { v[i] }\n\
+                   static N: u32 = LIMIT.get().unwrap();\nfn c(n: usize) -> u8 { n as u8 }\n";
+        let (fns, loose) = parse_file(&lex(src), "crates/x/src/a.rs", "x");
+        let kinds = |f: &FnItem| f.sites.iter().map(|s| s.lint).collect::<Vec<_>>();
+        assert_eq!(kinds(&fns[0]), ["panic-site"]);
+        assert_eq!(kinds(&fns[1]), ["slice-index"]);
+        assert_eq!(kinds(&fns[2]), ["as-truncation"]);
+        // a site outside every body stays with the file
+        assert_eq!(loose.iter().map(|s| (s.line, s.lint)).collect::<Vec<_>>(), [(3, "panic-site")]);
     }
 
     #[test]

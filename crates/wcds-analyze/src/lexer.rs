@@ -7,61 +7,29 @@
 //! byte literal blanked to spaces. Pattern scans then run on the mask,
 //! where every remaining character is real code.
 //!
-//! While masking, `// analyze: allow(<lint>, "<justification>")`
-//! pragmas are extracted from line comments with their line numbers —
-//! the one piece of comment content the lint engine *does* want.
-//!
 //! Handled: line comments (`//`, `///`, `//!`), nested block comments,
 //! string literals with escapes, raw strings `r#"…"#` (any number of
 //! hashes), byte strings `b"…"` / `br#"…"#`, char and byte-char
 //! literals, and the char-vs-lifetime ambiguity (`'a'` vs `<'a>`).
 
-/// One `// analyze: allow(...)` pragma found in a comment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pragma {
-    /// 1-based line of the comment.
-    pub line: usize,
-    /// Lint name inside `allow(...)` (not yet validated).
-    pub lint: String,
-    /// The quoted justification; empty if missing or empty — the lint
-    /// engine rejects such pragmas.
-    pub justification: String,
-}
-
-/// A lexed source file: the code-only mask plus extracted pragmas.
-#[derive(Debug, Clone)]
-pub struct Lexed {
-    /// Same character count and newline positions as the input; every
-    /// comment/string/char-literal character replaced by a space.
-    pub masked: String,
-    /// Pragmas in source order.
-    pub pragmas: Vec<Pragma>,
-}
-
 fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Lexes `src` into its code mask and pragma list.
-pub fn lex(src: &str) -> Lexed {
+/// Lexes `src` into its code mask: same character count and newline
+/// positions as the input, every comment/string/char-literal character
+/// replaced by a space.
+pub fn lex(src: &str) -> String {
     let chars: Vec<char> = src.chars().collect();
     let mut masked = String::with_capacity(src.len());
-    let mut pragmas = Vec::new();
-    let mut line = 1usize;
     let mut i = 0usize;
 
     // pushes `n` blanks, preserving any newlines in the consumed range
-    let blank =
-        |masked: &mut String, line: &mut usize, chars: &[char], start: usize, end: usize| {
-            for &c in chars.iter().take(end).skip(start) {
-                if c == '\n' {
-                    masked.push('\n');
-                    *line += 1;
-                } else {
-                    masked.push(' ');
-                }
-            }
-        };
+    let blank = |masked: &mut String, chars: &[char], start: usize, end: usize| {
+        for &c in chars.iter().take(end).skip(start) {
+            masked.push(if c == '\n' { '\n' } else { ' ' });
+        }
+    };
 
     while i < chars.len() {
         let c = chars[i];
@@ -73,16 +41,7 @@ pub fn lex(src: &str) -> Lexed {
                 while i < chars.len() && chars[i] != '\n' {
                     i += 1;
                 }
-                let text: String = chars[start..i].iter().collect();
-                // doc comments (`///`, `//!`) document the pragma
-                // syntax; only plain `//` comments suppress anything
-                let is_doc = text.starts_with("///") || text.starts_with("//!");
-                if !is_doc {
-                    if let Some(p) = parse_pragma(&text, line) {
-                        pragmas.push(p);
-                    }
-                }
-                blank(&mut masked, &mut line, &chars, start, i);
+                blank(&mut masked, &chars, start, i);
             }
             '/' if next == Some('*') => {
                 let start = i;
@@ -99,17 +58,17 @@ pub fn lex(src: &str) -> Lexed {
                         i += 1;
                     }
                 }
-                blank(&mut masked, &mut line, &chars, start, i);
+                blank(&mut masked, &chars, start, i);
             }
             '"' => {
                 let start = i;
                 i = skip_string(&chars, i);
-                blank(&mut masked, &mut line, &chars, start, i);
+                blank(&mut masked, &chars, start, i);
             }
             'r' | 'b' if !prev_ident => {
                 // maybe a raw/byte literal prefix: r", r#", b", br#", b'
                 if let Some(end) = skip_prefixed_literal(&chars, i) {
-                    blank(&mut masked, &mut line, &chars, i, end);
+                    blank(&mut masked, &chars, i, end);
                     i = end;
                 } else {
                     masked.push(c);
@@ -141,17 +100,12 @@ pub fn lex(src: &str) -> Lexed {
                     if chars.get(i) == Some(&'\'') {
                         i += 1; // closing quote
                     }
-                    blank(&mut masked, &mut line, &chars, start, i);
+                    blank(&mut masked, &chars, start, i);
                 } else {
                     // lifetime: keep the tick as code
                     masked.push('\'');
                     i += 1;
                 }
-            }
-            '\n' => {
-                masked.push('\n');
-                line += 1;
-                i += 1;
             }
             _ => {
                 masked.push(c);
@@ -159,7 +113,7 @@ pub fn lex(src: &str) -> Lexed {
             }
         }
     }
-    Lexed { masked, pragmas }
+    masked
 }
 
 /// Skips a plain (escaped) string starting at the opening `"` at `i`;
@@ -227,26 +181,6 @@ fn skip_prefixed_literal(chars: &[char], start: usize) -> Option<usize> {
     Some(i)
 }
 
-/// Parses `analyze: allow(<lint>, "<justification>")` out of one line
-/// comment's text.
-fn parse_pragma(comment: &str, line: usize) -> Option<Pragma> {
-    let rest = comment.split_once("analyze:")?.1;
-    let rest = rest.trim_start();
-    let rest = rest.strip_prefix("allow")?.trim_start();
-    let inner = rest.strip_prefix('(')?;
-    let close = inner.rfind(')')?;
-    let inner = &inner[..close];
-    let (lint, justification) = match inner.split_once(',') {
-        Some((l, j)) => {
-            let j = j.trim();
-            let j = j.strip_prefix('"').and_then(|j| j.strip_suffix('"')).unwrap_or("");
-            (l.trim().to_string(), j.to_string())
-        }
-        None => (inner.trim().to_string(), String::new()),
-    };
-    Some(Pragma { line, lint, justification })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,70 +188,47 @@ mod tests {
     #[test]
     fn strings_and_comments_are_blanked() {
         let src = "let x = \"unwrap()\"; // unwrap()\nlet y = 1; /* unwrap() */ z();\n";
-        let lexed = lex(src);
-        assert!(!lexed.masked.contains("unwrap"));
-        assert!(lexed.masked.contains("let x ="));
-        assert!(lexed.masked.contains("z()"));
-        assert_eq!(lexed.masked.chars().filter(|&c| c == '\n').count(), 2);
+        let masked = lex(src);
+        assert!(!masked.contains("unwrap"));
+        assert!(masked.contains("let x ="));
+        assert!(masked.contains("z()"));
+        assert_eq!(masked.chars().filter(|&c| c == '\n').count(), 2);
     }
 
     #[test]
     fn raw_and_byte_strings_are_blanked() {
         let src = r####"let a = r#"x.unwrap()"#; let b = b"unwrap"; let c = br##"expect("q")"##;"####;
-        let lexed = lex(src);
-        assert!(!lexed.masked.contains("unwrap"));
-        assert!(!lexed.masked.contains("expect"));
-        assert!(lexed.masked.contains("let a ="));
-        assert!(lexed.masked.contains("let c ="));
+        let masked = lex(src);
+        assert!(!masked.contains("unwrap"));
+        assert!(!masked.contains("expect"));
+        assert!(masked.contains("let a ="));
+        assert!(masked.contains("let c ="));
     }
 
     #[test]
     fn char_vs_lifetime() {
         let src = "fn f<'a>(x: &'a str) -> char { let c = '\\''; let d = 'x'; c }";
-        let lexed = lex(src);
-        assert!(lexed.masked.contains("<'a>"));
-        assert!(lexed.masked.contains("&'a str"));
-        assert!(!lexed.masked.contains("'x'"));
-        assert_eq!(lexed.masked.len(), src.len());
+        let masked = lex(src);
+        assert!(masked.contains("<'a>"));
+        assert!(masked.contains("&'a str"));
+        assert!(!masked.contains("'x'"));
+        assert_eq!(masked.len(), src.len());
     }
 
     #[test]
     fn multiline_strings_preserve_line_numbers() {
         let src = "let s = \"line one\nline two\";\nnext();\n";
-        let lexed = lex(src);
-        assert_eq!(lexed.masked.chars().filter(|&c| c == '\n').count(), 3);
+        let masked = lex(src);
+        assert_eq!(masked.chars().filter(|&c| c == '\n').count(), 3);
         // `next()` must still land on line 3
-        let lines: Vec<&str> = lexed.masked.lines().collect();
+        let lines: Vec<&str> = masked.lines().collect();
         assert!(lines[2].contains("next()"));
-    }
-
-    #[test]
-    fn pragma_extraction() {
-        let src = "\nlet i = idx; // analyze: allow(slice-index, \"idx < N by construction\")\na[i];\n";
-        let lexed = lex(src);
-        assert_eq!(
-            lexed.pragmas,
-            vec![Pragma {
-                line: 2,
-                lint: "slice-index".into(),
-                justification: "idx < N by construction".into(),
-            }]
-        );
-    }
-
-    #[test]
-    fn pragma_without_justification_is_captured_empty() {
-        let src = "// analyze: allow(panic-site)\nx.unwrap();\n";
-        let lexed = lex(src);
-        assert_eq!(lexed.pragmas.len(), 1);
-        assert_eq!(lexed.pragmas[0].lint, "panic-site");
-        assert!(lexed.pragmas[0].justification.is_empty());
     }
 
     #[test]
     fn identifier_starting_with_r_or_b_is_not_a_literal() {
         let src = "let rng = r_value + b_flag; let raw = rbuf;";
-        let lexed = lex(src);
-        assert_eq!(lexed.masked, src);
+        let masked = lex(src);
+        assert_eq!(masked, src);
     }
 }

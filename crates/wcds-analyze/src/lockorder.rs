@@ -246,8 +246,7 @@ fn sccs(nodes: &BTreeSet<String>, edges: &BTreeSet<(String, String)>) -> Vec<Vec
     comps
 }
 
-/// Runs both analyses; returns raw findings (pragmas applied by the
-/// driver).
+/// Runs both analyses; returns their findings.
 pub fn run(ws: &Workspace, graph: &CallGraph) -> Vec<AnalysisFinding> {
     let acq = may_acquire(ws, graph);
     let mut findings = Vec::new();

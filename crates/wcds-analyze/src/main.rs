@@ -1,14 +1,13 @@
 //! `wcds-analyze` — the repo's correctness gate.
 //!
 //! ```text
-//! wcds-analyze check            # all three engines (the CI gate)
-//! wcds-analyze lints [--root P] # source lints only
-//! wcds-analyze callgraph        # interprocedural analyses only
-//! wcds-analyze totality         # decoder totality only
+//! wcds-analyze check [--root P] [--write-baseline]
 //! ```
 //!
-//! `check` and `callgraph` write the machine-readable findings to
-//! `<root>/artifacts/analyze_findings.json` and compare them against
+//! `check` parses the workspace once and runs every engine over that
+//! parse: the strict-file lints, the call-graph analyses and decoder
+//! totality. It writes the machine-readable findings to
+//! `<root>/artifacts/analyze_findings.json` and compares them against
 //! the checked-in baseline `crates/wcds-analyze/analyze_baseline.json`
 //! (`--write-baseline` regenerates it after a fix shrinks the debt).
 //!
@@ -16,19 +15,17 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use wcds_analyze::{callgraph, lints, totality};
+use wcds_analyze::callgraph::{self, Workspace};
+use wcds_analyze::{lints, totality};
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: wcds-analyze <check|lints|callgraph|totality> \
-         [--root <repo-root>] [--write-baseline]"
-    );
+    eprintln!("usage: wcds-analyze check [--root <repo-root>] [--write-baseline]");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut command = None;
+    let mut check = false;
     let mut root = default_root();
     let mut write_baseline = false;
     let mut it = args.iter();
@@ -39,24 +36,26 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--write-baseline" => write_baseline = true,
-            "check" | "lints" | "callgraph" | "totality" if command.is_none() => {
-                command = Some(arg.clone());
-            }
+            "check" if !check => check = true,
             _ => return usage(),
         }
     }
-    let Some(command) = command else { return usage() };
+    if !check {
+        return usage();
+    }
 
     let mut clean = true;
-    if command == "check" || command == "lints" {
-        clean &= run_lints(&root);
+    match callgraph::scan(&root) {
+        Ok(ws) => {
+            clean &= run_lints(&ws);
+            clean &= run_callgraph(&ws, &root, write_baseline);
+        }
+        Err(e) => {
+            println!("error scanning workspace under {}: {e}", root.display());
+            clean = false;
+        }
     }
-    if command == "check" || command == "callgraph" {
-        clean &= run_callgraph(&root, write_baseline);
-    }
-    if command == "check" || command == "totality" {
-        clean &= run_totality();
-    }
+    clean &= run_totality();
     if clean {
         println!("wcds-analyze: clean");
         ExitCode::SUCCESS
@@ -72,30 +71,17 @@ fn default_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-fn run_lints(root: &Path) -> bool {
+fn run_lints(ws: &Workspace) -> bool {
     println!("== lints ({} strict files) ==", lints::STRICT_FILES.len());
-    let report = match lints::run(root) {
-        Ok(r) => r,
-        Err(e) => {
-            println!("  error reading source tree under {}: {e}", root.display());
-            return false;
-        }
-    };
+    let report = lints::check(ws);
     for v in &report.violations {
         println!("  {v}");
     }
-    for s in &report.suppressed {
-        println!(
-            "  suppressed {}:{} [{}] — {}",
-            s.file, s.line, s.lint, s.justification
-        );
-    }
     println!(
-        "  {} files scanned, {} violation(s), {} suppression(s), \
+        "  {} files scanned, {} violation(s), \
          {} panic site(s) workspace-wide (informational)",
         report.files_scanned,
         report.violations.len(),
-        report.suppressed.len(),
         report.workspace_panic_sites
     );
     report.is_clean()
@@ -104,15 +90,9 @@ fn run_lints(root: &Path) -> bool {
 /// Path of the checked-in burn-down baseline, relative to the root.
 const BASELINE_REL: &str = "crates/wcds-analyze/analyze_baseline.json";
 
-fn run_callgraph(root: &Path, write_baseline: bool) -> bool {
+fn run_callgraph(ws: &Workspace, root: &Path, write_baseline: bool) -> bool {
     println!("== callgraph (interprocedural analyses) ==");
-    let report = match callgraph::analyze(root) {
-        Ok(r) => r,
-        Err(e) => {
-            println!("  error scanning workspace under {}: {e}", root.display());
-            return false;
-        }
-    };
+    let report = callgraph::analyze(ws);
     println!(
         "  {} files, {} functions, {} call edges, {} entry points, {} reachable, {} ms",
         report.files, report.fns, report.edges, report.entries, report.reachable,
@@ -126,10 +106,6 @@ fn run_callgraph(root: &Path, write_baseline: bool) -> bool {
     match written {
         Ok(()) => println!("  findings artifact: {}", artifact.display()),
         Err(e) => println!("  warning: could not write {}: {e}", artifact.display()),
-    }
-
-    for s in &report.suppressed {
-        println!("  suppressed {}:{} [{}] — {}", s.file, s.line, s.lint, s.justification);
     }
 
     let baseline_path = root.join(BASELINE_REL);
@@ -184,13 +160,12 @@ fn run_callgraph(root: &Path, write_baseline: bool) -> bool {
     for ((analysis, kind, file, function), cur, base) in &diff.stale {
         println!(
             "  STALE BASELINE [{analysis}/{kind}] {file} fn {function}: {cur} found, \
-             {base} baselined — rerun with --write-baseline"
+             {base} baselined — rerun `wcds-analyze check --write-baseline`"
         );
     }
     println!(
-        "  {} finding(s) in baseline, {} suppression(s), {} regression(s), {} stale entr(ies)",
+        "  {} finding(s) in baseline, {} regression(s), {} stale entr(ies)",
         report.findings.len(),
-        report.suppressed.len(),
         diff.regressions.len(),
         diff.stale.len()
     );

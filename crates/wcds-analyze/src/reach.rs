@@ -127,7 +127,7 @@ pub fn witness(ws: &Workspace, pred: &[Option<(FnId, usize)>], id: FnId) -> Vec<
 }
 
 /// Runs panic-reachability. Returns `(entry count, reachable count,
-/// raw findings)` — pragma suppression happens in the driver.
+/// findings)`.
 pub fn run(ws: &Workspace, graph: &CallGraph) -> (usize, usize, Vec<AnalysisFinding>) {
     let entries = entry_fns(ws);
     let (seen, pred) = reachable(ws, graph, &entries);
@@ -137,21 +137,17 @@ pub fn run(ws: &Workspace, graph: &CallGraph) -> (usize, usize, Vec<AnalysisFind
             continue;
         }
         let path = witness(ws, &pred, id);
-        for (sites, kind) in [(&f.panic_sites, "panic-site"), (&f.index_sites, "slice-index")] {
-            for site in sites.iter() {
-                findings.push(AnalysisFinding {
-                    analysis: "panic-reachability",
-                    kind,
-                    file: f.file.clone(),
-                    line: site.line,
-                    function: f.display(),
-                    message: format!(
-                        "{} — reachable from wire entry point",
-                        site.message
-                    ),
-                    witness: path.clone(),
-                });
-            }
+        // a narrowing cast cannot panic: it is a strict-file lint only
+        for site in f.sites.iter().filter(|s| s.lint != "as-truncation") {
+            findings.push(AnalysisFinding {
+                analysis: "panic-reachability",
+                kind: site.lint,
+                file: f.file.clone(),
+                line: site.line,
+                function: f.display(),
+                message: format!("{} — reachable from wire entry point", site.message),
+                witness: path.clone(),
+            });
         }
     }
     (entries.len(), seen.iter().filter(|&&s| s).count(), findings)

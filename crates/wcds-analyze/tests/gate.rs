@@ -1,11 +1,11 @@
 //! The acceptance gate: the real tree is clean, and the gate actually
-//! bites when a forbidden construct is injected — lexically (the
-//! injection tests) and interprocedurally (the planted-defect fixture
-//! trees under `fixtures/`).
+//! bites when a forbidden construct is injected — into a strict file
+//! (the injection tests) and interprocedurally (the planted-defect
+//! fixture trees under `fixtures/`).
 
-use std::collections::BTreeMap;
-use std::path::PathBuf;
-use wcds_analyze::{callgraph, lexer, lints, reach, totality};
+use std::path::{Path, PathBuf};
+use wcds_analyze::callgraph::{self, Workspace};
+use wcds_analyze::{lexer, lints, reach, totality};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -15,9 +15,29 @@ fn fixture_root(tree: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures").join(tree)
 }
 
+fn scan(root: &Path) -> Workspace {
+    callgraph::scan(root).expect("source tree readable")
+}
+
+/// Reads the strict file `rel`, applies `anchor → replacement` once,
+/// and returns the poisoned source with the strict policy's findings.
+fn inject(rel: &str, anchor: &str, replacement: &str) -> (String, Vec<lints::Finding>) {
+    let src = std::fs::read_to_string(repo_root().join(rel)).expect("strict file readable");
+    let poisoned = src.replacen(anchor, replacement, 1);
+    assert_ne!(poisoned, src, "injection anchor not found in {rel}");
+    let nested_lock = lints::STRICT_FILES.iter().any(|&(f, nested)| f == rel && nested);
+    let findings = lints::scan_source(&poisoned, rel, nested_lock);
+    (poisoned, findings)
+}
+
+/// 1-based line of the first line of `src` containing `needle`.
+fn line_of(src: &str, needle: &str) -> usize {
+    1 + src.lines().position(|l| l.contains(needle)).expect("injected line present")
+}
+
 #[test]
 fn the_real_tree_is_lint_clean() {
-    let report = lints::run(&repo_root()).expect("source tree readable");
+    let report = lints::check(&scan(&repo_root()));
     assert!(
         report.is_clean(),
         "violations in the real tree:\n{}",
@@ -29,34 +49,17 @@ fn the_real_tree_is_lint_clean() {
             .join("\n")
     );
     assert_eq!(report.files_scanned, lints::STRICT_FILES.len());
-    // no strict file carries a suppression: a new pragma anywhere in
-    // the strict set forces this test (and the exemption audit) to be
-    // revisited
-    assert!(
-        report.suppressed.is_empty(),
-        "a strict file carries a suppression — update the audit: {:?}",
-        report.suppressed
-    );
 }
 
 #[test]
 fn an_injected_unwrap_in_protocol_rs_is_caught_with_file_and_line() {
-    let path = repo_root().join("crates/wcds-service/src/protocol.rs");
-    let src = std::fs::read_to_string(&path).expect("protocol.rs readable");
     // inject a forbidden unwrap into the take() helper, in memory
-    let poisoned = src.replacen(
+    let (poisoned, violations) = inject(
+        "crates/wcds-service/src/protocol.rs",
         "self.pos = end;",
         "self.pos = end;\n        let _ = self.buf.first().unwrap();",
-        1,
     );
-    assert_ne!(poisoned, src, "injection anchor not found in protocol.rs");
-    let injected_line = 1 + poisoned
-        .lines()
-        .position(|l| l.contains("self.buf.first().unwrap()"))
-        .expect("injected line present");
-
-    let (violations, _) =
-        lints::scan_source(&poisoned, "crates/wcds-service/src/protocol.rs", false);
+    let injected_line = line_of(&poisoned, "self.buf.first().unwrap()");
     assert!(
         violations.iter().any(|v| v.lint == "panic-site"
             && v.line == injected_line
@@ -79,18 +82,13 @@ fn an_injected_unwrap_in_protocol_rs_is_caught_with_file_and_line() {
 
 #[test]
 fn an_injected_nested_lock_in_store_rs_is_caught() {
-    let path = repo_root().join("crates/wcds-service/src/store.rs");
-    let src = std::fs::read_to_string(&path).expect("store.rs readable");
     // acquire the name-map lock while the topology guard is live
-    let poisoned = src.replacen(
+    let (_, violations) = inject(
+        "crates/wcds-service/src/store.rs",
         "let mut topo = write_guard(&entry.topo)?;",
         "let mut topo = write_guard(&entry.topo)?;\n        \
          let _peek = read_guard(&self.topologies)?;",
-        1,
     );
-    assert_ne!(poisoned, src, "injection anchor not found in store.rs");
-    let (violations, _) =
-        lints::scan_source(&poisoned, "crates/wcds-service/src/store.rs", true);
     assert!(
         violations
             .iter()
@@ -99,12 +97,91 @@ fn an_injected_nested_lock_in_store_rs_is_caught() {
     );
 }
 
+#[test]
+fn a_guard_bound_through_map_err_stays_held() {
+    let (poisoned, violations) = inject(
+        "crates/wcds-service/src/store.rs",
+        "let mut topo = write_guard(&entry.topo)?;",
+        "let mut topo = entry\n            .topo\n            .write()\n            \
+         .map_err(|_| err(ErrorCode::Internal, \"lock poisoned by a panicked writer\"))?;\n        \
+         let _peek = read_guard(&self.topologies)?;",
+    );
+    let line = line_of(&poisoned, "let _peek = read_guard(&self.topologies)?;");
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.lint == "nested-lock" && v.line == line && v.message.contains("topo")),
+        "acquisition under a map_err-bound guard not reported at line {line}: {violations:?}"
+    );
+}
+
+#[test]
+fn an_allow_comment_suppresses_nothing() {
+    let (poisoned, violations) = inject(
+        "crates/wcds-service/src/protocol.rs",
+        "self.pos = end;",
+        "self.pos = end;\n        \
+         // analyze: allow(panic-site, \"the buffer is non-empty once take() succeeds\")\n        \
+         let _ = self.buf.first().unwrap();",
+    );
+    let line = line_of(&poisoned, "self.buf.first().unwrap()");
+    assert!(
+        violations.iter().any(|v| v.lint == "panic-site" && v.line == line),
+        "unwrap under an allow comment not reported at line {line}: {violations:?}"
+    );
+}
+
+#[test]
+fn an_injected_narrowing_cast_is_caught_at_its_line() {
+    let (poisoned, violations) = inject(
+        "crates/wcds-graph/src/io.rs",
+        "    let text = std::str::from_utf8(bytes)",
+        "    let _len = bytes.len() as u32;\n    let text = std::str::from_utf8(bytes)",
+    );
+    let line = line_of(&poisoned, "bytes.len() as u32");
+    assert_eq!(
+        violations.iter().map(|v| (v.line, v.lint.as_str())).collect::<Vec<_>>(),
+        [(line, "as-truncation")]
+    );
+}
+
+#[test]
+fn a_panic_site_outside_every_function_body_is_caught() {
+    let (poisoned, violations) = inject(
+        "crates/wcds-service/src/protocol.rs",
+        "pub const MAX_FRAME_LEN: usize = 64 << 20;",
+        "pub const MAX_FRAME_LEN: usize = 64 << 20;\n\n\
+         static LOOPBACK: std::sync::LazyLock<std::net::SocketAddr> =\n    \
+         std::sync::LazyLock::new(|| \"127.0.0.1:0\".parse().unwrap());",
+    );
+    let line = line_of(&poisoned, ".parse().unwrap()");
+    assert_eq!(
+        violations.iter().map(|v| (v.line, v.lint.as_str())).collect::<Vec<_>>(),
+        [(line, "panic-site")]
+    );
+}
+
+#[test]
+fn a_strict_file_the_scan_never_found_is_a_policy_violation() {
+    // the fixture trees hold none of the strict files
+    let report = lints::check(&scan(&fixture_root("clean")));
+    assert_eq!(report.files_scanned, 0);
+    let missing: Vec<&str> = report
+        .violations
+        .iter()
+        .filter(|v| v.lint == "policy" && v.line == 0)
+        .map(|v| v.file.as_str())
+        .collect();
+    let strict: Vec<&str> = lints::STRICT_FILES.iter().map(|&(f, _)| f).collect();
+    assert_eq!(missing, strict);
+}
+
 /// The golden snapshot: every planted defect in the defective fixture
 /// tree is caught, attributed to the exact file, line, and analysis,
 /// and nothing else is reported.
 #[test]
 fn all_planted_fixture_defects_are_caught_and_attributed() {
-    let report = callgraph::analyze(&fixture_root("defective")).expect("fixture tree readable");
+    let report = callgraph::analyze(&scan(&fixture_root("defective")));
     let got: Vec<(String, usize, &str, &str)> = report
         .findings
         .iter()
@@ -150,12 +227,6 @@ fn all_planted_fixture_defects_are_caught_and_attributed() {
         .collect();
     assert!(cycles.iter().any(|m| m.contains("published") && m.contains("topo")));
     assert!(cycles.iter().any(|m| m.contains("cache") && m.contains("journal")));
-
-    // the justified-pragma escape hatch works inside fixtures too: the
-    // read_frame unwrap is suppressed, audited, and not a finding
-    assert_eq!(report.suppressed.len(), 1, "exactly one fixture suppression");
-    let s = &report.suppressed[0];
-    assert!(s.file.ends_with("wire/src/protocol.rs") && s.lint == "panic-site");
 }
 
 /// Negative control: the clean tree mirrors every defective shape
@@ -163,7 +234,7 @@ fn all_planted_fixture_defects_are_caught_and_attributed() {
 /// helpers) and must produce nothing at all.
 #[test]
 fn the_clean_fixture_tree_reports_nothing() {
-    let report = callgraph::analyze(&fixture_root("clean")).expect("fixture tree readable");
+    let report = callgraph::analyze(&scan(&fixture_root("clean")));
     assert!(
         report.findings.is_empty(),
         "clean tree produced findings:\n{}",
@@ -174,7 +245,6 @@ fn the_clean_fixture_tree_reports_nothing() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(report.suppressed.is_empty(), "clean tree needs no pragmas");
     // same entry-point table drives both trees
     assert_eq!(report.entries, 3, "decode, read_frame, and mutate match the entry table");
 }
@@ -185,7 +255,8 @@ fn the_clean_fixture_tree_reports_nothing() {
 #[test]
 fn the_real_tree_matches_the_analyzer_baseline() {
     let started = std::time::Instant::now();
-    let report = callgraph::analyze(&repo_root()).expect("workspace readable");
+    let ws = scan(&repo_root());
+    let report = callgraph::analyze(&ws);
     let baseline_text =
         std::fs::read_to_string(repo_root().join("crates/wcds-analyze/analyze_baseline.json"))
             .expect("checked-in baseline present");
@@ -198,7 +269,7 @@ fn the_real_tree_matches_the_analyzer_baseline() {
     );
     assert!(
         diff.stale.is_empty(),
-        "baseline is stale (debt shrank) — rerun `wcds-analyze callgraph --write-baseline`:\n{:#?}",
+        "baseline is stale (debt shrank) — rerun `wcds-analyze check --write-baseline`:\n{:#?}",
         diff.stale
     );
 
@@ -207,7 +278,6 @@ fn the_real_tree_matches_the_analyzer_baseline() {
     // analysis. Checked row by row: one row can match several
     // functions (`decode` is both `Request::decode` and
     // `Response::decode`), so a count of matched functions cannot tell
-    let ws = callgraph::scan(&repo_root()).expect("workspace readable");
     assert_eq!(reach::unmatched_rows(&ws), [], "entry-point rows that match no function");
     // the burn-down is slice-index debt only: every reachable panic
     // site has been fixed or justified, and no lock-order cycle exists
@@ -221,69 +291,9 @@ fn the_real_tree_matches_the_analyzer_baseline() {
             .map(|f| format!("{}:{} [{}]", f.file, f.line, f.kind))
             .collect::<Vec<_>>()
     );
-    // the analyzer suppression set is pinned like the lexical one:
-    // empty — every finding is fixed or in the baseline
-    assert!(report.suppressed.is_empty(), "analyzer suppressions: {:?}", report.suppressed);
     // the whole interprocedural pass stays interactive — CI budget
     let elapsed = started.elapsed();
     assert!(elapsed.as_secs() < 10, "analyze took {elapsed:?}, budget is 10 s");
-}
-
-/// Per-lint pragma budgets over the whole workspace: a new suppression
-/// anywhere — strict files or not — fails this test with the full
-/// justification diff, forcing the budget (and the audit) to move in
-/// the same commit.
-#[test]
-fn workspace_pragma_budgets_are_pinned_per_lint() {
-    let census = lints::pragma_census(&repo_root()).expect("workspace readable");
-    let mut by_lint: BTreeMap<&str, Vec<String>> = BTreeMap::new();
-    for s in &census {
-        by_lint
-            .entry(s.lint.as_str())
-            .or_default()
-            .push(format!("{}:{} — {}", s.file, s.line, s.justification));
-    }
-    // budgets count pragma *lines*, not suppressed findings — one
-    // pragma covers every finding on its line
-    let budgets: &[(&str, usize)] = &[
-        ("panic-site", 0),
-        ("slice-index", 0),
-        ("as-truncation", 0),
-        ("nested-lock", 0),
-        ("lock-order", 0),
-        ("hold-across-io", 0),
-    ];
-    for &(lint, budget) in budgets {
-        let have = by_lint.get(lint).map_or(&[][..], Vec::as_slice);
-        assert_eq!(
-            have.len(),
-            budget,
-            "pragma budget for `{lint}` is {budget}, found {}:\n{}",
-            have.len(),
-            have.join("\n")
-        );
-    }
-    // no pragma outside the budgeted lint vocabulary
-    let total: usize = budgets.iter().map(|&(_, b)| b).sum();
-    assert_eq!(
-        census.len(),
-        total,
-        "a pragma with an unbudgeted lint name exists: {:?}",
-        census
-            .iter()
-            .filter(|s| !budgets.iter().any(|&(l, _)| l == s.lint))
-            .collect::<Vec<_>>()
-    );
-    // justifications are load-bearing prose, not placeholders
-    for s in &census {
-        assert!(
-            s.justification.trim().len() >= 15,
-            "suppression at {}:{} has a throwaway justification: {:?}",
-            s.file,
-            s.line,
-            s.justification
-        );
-    }
 }
 
 /// `(section, key, value)` for every `key = value` line of a Cargo
@@ -351,12 +361,12 @@ fn unsafe_code_is_allowed_only_on_the_two_sanctioned_modules() {
     }
     let mut files = Vec::new();
     for dir in dirs.iter().filter(|d| d.is_dir()) {
-        lints::collect_rs(dir, &mut files).expect("source tree readable");
+        callgraph::collect_rs(dir, &mut files).expect("source tree readable");
     }
     let mut islands = Vec::new();
     for path in &files {
         let src = std::fs::read_to_string(path).expect("source readable");
-        let masked = lexer::lex(&src).masked;
+        let masked = lexer::lex(&src);
         let lines: Vec<&str> = masked.lines().collect();
         for (i, line) in lines.iter().enumerate() {
             let mut idents = line.split(|c: char| !(c.is_alphanumeric() || c == '_'));

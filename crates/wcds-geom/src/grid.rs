@@ -107,13 +107,6 @@ impl GridIndex {
         }
     }
 
-    /// Counts the points within distance `r` of `center`.
-    pub fn count_within(&self, points: &[Point], center: Point, r: f64) -> usize {
-        let mut n = 0;
-        self.for_each_within(points, center, r, |_| n += 1);
-        n
-    }
-
     /// Appends the next point index (`len()`) at position `p`, returning it.
     ///
     /// The caller must push `p` onto its point slice at the same time so the
@@ -171,7 +164,7 @@ impl GridIndex {
 /// The cell array is dense over the bounding box, so memory is
 /// `O(cells)`, not `O(occupied cells)`: callers should prefer
 /// [`GridIndex`] when the deployment is a sparse scatter over a huge
-/// extent (see [`DenseGrid::cell_count`]).
+/// extent.
 ///
 /// # Examples
 ///
@@ -208,8 +201,10 @@ impl DenseGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `cell` is not strictly positive and finite, or if the
-    /// point count exceeds `u32::MAX`.
+    /// Panics if `cell` is not strictly positive and finite, if the
+    /// point count exceeds `u32::MAX`, or if the bounding box spans more
+    /// cells than one `Vec<u32>` can hold (about 2^61; points at ±1e300
+    /// with unit cells do), in every build profile.
     pub fn build(points: &[Point], cell: f64) -> Self {
         assert!(cell.is_finite() && cell > 0.0, "cell size must be positive and finite");
         assert!(points.len() <= u32::MAX as usize, "point indices must fit u32");
@@ -232,8 +227,18 @@ impl DenseGrid {
             max_x = max_x.max(p.x);
             max_y = max_y.max(p.y);
         }
-        let gx = ((max_x - min_x) / cell).floor() as usize + 1;
-        let gy = ((max_y - min_y) / cell).floor() as usize + 1;
+        // count the cells in f64, so a huge extent is rejected before any
+        // integer arithmetic can overflow: `offsets` holds one `u32` per
+        // cell plus one, and a product that rounds below the bound (2^61
+        // in f64) is below it by more than that one
+        let span = |lo: f64, hi: f64| ((hi - lo) / cell).floor().max(0.0) + 1.0;
+        let (span_x, span_y) = (span(min_x, max_x), span(min_y, max_y));
+        let max_cells = (isize::MAX as usize / std::mem::size_of::<u32>()) as f64;
+        assert!(
+            span_x * span_y < max_cells,
+            "a grid of {span_x} x {span_y} cells exceeds one Vec<u32>"
+        );
+        let (gx, gy) = (span_x as usize, span_y as usize);
         let cell_of = |p: &Point| -> usize {
             // points exactly on the max boundary clamp into the last
             // row/column; queries over-scan by one cell, so clamped
@@ -267,15 +272,6 @@ impl DenseGrid {
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-
-    /// Number of grid cells allocated (dense over the bounding box).
-    ///
-    /// Callers deciding between this index and [`GridIndex`] can compare
-    /// it against the point count: when `cell_count` dwarfs `len`, the
-    /// deployment is a sparse scatter and the hash index wastes less.
-    pub fn cell_count(&self) -> usize {
-        self.gx * self.gy
     }
 
     /// The slots of cells `first..=last` of one column, which are
@@ -316,13 +312,6 @@ impl DenseGrid {
                 }
             }
         }
-    }
-
-    /// Counts the points within distance `r` of `center`.
-    pub fn count_within(&self, center: Point, r: f64) -> usize {
-        let mut n = 0;
-        self.for_each_within(center, r, |_| n += 1);
-        n
     }
 
     /// Visits every unordered pair of indexed points at most one cell
@@ -382,6 +371,14 @@ mod tests {
         v
     }
 
+    /// Sorted indices `DenseGrid::for_each_within` visits.
+    fn dense_within(idx: &DenseGrid, center: Point, r: f64) -> Vec<usize> {
+        let mut v = Vec::new();
+        idx.for_each_within(center, r, |i| v.push(i));
+        v.sort_unstable();
+        v
+    }
+
     #[test]
     fn matches_brute_force_on_random_points() {
         let pts = deploy::uniform(300, 8.0, 8.0, 7);
@@ -415,15 +412,6 @@ mod tests {
         let idx = GridIndex::build(&pts, 1.0);
         assert!(idx.is_empty());
         assert!(idx.neighbors_within(&pts, Point::origin(), 1.0).is_empty());
-    }
-
-    #[test]
-    fn count_matches_list_length() {
-        let pts = deploy::uniform(150, 4.0, 4.0, 3);
-        let idx = GridIndex::build(&pts, 1.0);
-        for &p in pts.iter().take(20) {
-            assert_eq!(idx.count_within(&pts, p, 1.0), idx.neighbors_within(&pts, p, 1.0).len());
-        }
     }
 
     #[test]
@@ -475,7 +463,7 @@ mod tests {
     fn boundary_distance_is_inclusive() {
         let pts = vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)];
         let idx = GridIndex::build(&pts, 1.0);
-        assert_eq!(idx.count_within(&pts, pts[0], 1.0), 2);
+        assert_eq!(idx.neighbors_within(&pts, pts[0], 1.0).len(), 2);
     }
 
     #[test]
@@ -496,7 +484,15 @@ mod tests {
             assert_eq!(got, brute_force(&pts, pts[probe], 1.0), "probe {probe}");
         }
         let dense = DenseGrid::build(&pts[4..], 1.0);
-        assert_eq!(dense.count_within(Point::new(1e300, -1e300), 1.0), 0);
+        assert_eq!(dense_within(&dense, Point::new(1e300, -1e300), 1.0), []);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds one Vec<u32>")]
+    fn dense_extent_past_every_cell_count_panics() {
+        // 2e300 unit cells across: the cell count must be rejected in
+        // f64 before it can overflow `usize`
+        let _ = DenseGrid::build(&[Point::new(-1e300, 0.0), Point::new(1e300, 0.0)], 1.0);
     }
 
     #[test]
@@ -556,19 +552,19 @@ mod tests {
             idx.for_each_within(p, 1.0, |j| got.push(j));
             assert!(got.contains(&i), "point {i} not found at its own position");
         }
-        assert_eq!(idx.count_within(Point::new(3.0, 2.0), 1.0), 1);
+        assert_eq!(dense_within(&idx, Point::new(3.0, 2.0), 1.0), [1]);
     }
 
     #[test]
     fn dense_empty_and_degenerate() {
         let empty = DenseGrid::build(&[], 1.0);
         assert!(empty.is_empty());
-        assert_eq!(empty.count_within(Point::origin(), 5.0), 0);
+        assert_eq!(dense_within(&empty, Point::origin(), 5.0), []);
         // all points coincident: one cell, everything within any radius
         let pts = vec![Point::new(2.0, 2.0); 17];
         let idx = DenseGrid::build(&pts, 1.0);
-        assert_eq!(idx.cell_count(), 1);
-        assert_eq!(idx.count_within(pts[0], 0.5), 17);
+        assert_eq!((idx.gx, idx.gy), (1, 1));
+        assert_eq!(dense_within(&idx, pts[0], 0.5), (0..17).collect::<Vec<_>>());
     }
 
     #[test]

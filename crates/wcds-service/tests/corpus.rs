@@ -7,7 +7,7 @@
 //! each must keep failing with a *typed* error — never a panic, never
 //! an unbounded allocation, and never a silent accept.
 //!
-//! The structure-aware enumeration lives in `wcds-analyze totality`;
+//! The structure-aware enumeration is `wcds-analyze check`'s totality engine;
 //! this test is the frozen complement (DESIGN.md §9).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
