@@ -436,7 +436,8 @@ impl fmt::Debug for Graph {
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     n: usize,
-    edges: Vec<(NodeId, NodeId)>,
+    /// Canonical `(u, v)` pairs, `u < v`, as narrow as the CSR.
+    edges: Vec<(u32, u32)>,
 }
 
 impl GraphBuilder {
@@ -449,50 +450,95 @@ impl GraphBuilder {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range endpoints or self-loops.
+    /// Panics on out-of-range endpoints, self-loops, or ids beyond
+    /// `u32::MAX`.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> &mut Self {
         assert!(u < self.n && v < self.n, "edge ({u}, {v}) out of range for n = {}", self.n);
         assert_ne!(u, v, "self-loop ({u}, {u})");
-        self.edges.push(if u < v { (u, v) } else { (v, u) });
+        let (lo, hi) = if u < v { (u, v) } else { (v, u) };
+        assert!(hi <= u32::MAX as usize, "node ids must fit u32: n = {}", self.n);
+        self.edges.push((lo as u32, hi as u32));
         self
     }
 
     /// Finalises the graph into CSR form.
     ///
-    /// One counting pass sizes the rows, one fill pass writes them. The
-    /// fill walks the `(u, v)`-sorted edge list once, appending `v` to
-    /// row `u` and `u` to row `v`; row `w` therefore receives first its
-    /// smaller neighbors (ascending, from edges `(y, w)`) and then its
-    /// larger ones (ascending, from edges `(w, x)`), so every row comes
-    /// out sorted without a per-row sort.
+    /// Edges added in strictly ascending order (as [`Graph::edges`]
+    /// lists them) are scattered as they are; any other order is sorted
+    /// and deduplicated on a copy first.
     pub fn build(&self) -> Graph {
-        let mut sorted = self.edges.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert!(
-            sorted.len() * 2 <= u32::MAX as usize,
-            "graph too large for u32 CSR offsets: {} edges",
-            sorted.len()
-        );
-        assert!(self.n <= u32::MAX as usize, "node ids must fit u32: n = {}", self.n);
-        let mut offsets = vec![0u32; self.n + 1];
-        for &(u, v) in &sorted {
-            offsets[u + 1] += 1;
-            offsets[v + 1] += 1;
+        if ascends_strictly(&self.edges) {
+            scatter(self.n, &self.edges)
+        } else {
+            Graph::from_pairs(self.n, self.edges.clone())
         }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let mut cursor: Vec<u32> = offsets[..self.n].to_vec();
-        let mut targets = vec![0u32; sorted.len() * 2];
-        for &(u, v) in &sorted {
-            targets[cursor[u] as usize] = v as u32;
-            cursor[u] += 1;
-            targets[cursor[v] as usize] = u as u32;
-            cursor[v] += 1;
-        }
-        Graph { offsets, targets, edge_count: sorted.len() }
     }
+}
+
+impl Graph {
+    /// The graph on `n` nodes of canonical pairs `(u, v)`, `u < v < n`,
+    /// in any order and with repeats. The pairs are sorted and
+    /// deduplicated in place, and not at all when they already ascend
+    /// strictly, which is how [`crate::io::to_text`] writes them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` or twice the distinct pair count exceeds
+    /// `u32::MAX`.
+    pub(crate) fn from_pairs(n: usize, mut pairs: Vec<(u32, u32)>) -> Graph {
+        if !ascends_strictly(&pairs) {
+            pairs.sort_unstable();
+            pairs.dedup();
+        }
+        scatter(n, &pairs)
+    }
+}
+
+fn ascends_strictly(pairs: &[(u32, u32)]) -> bool {
+    pairs.is_sorted_by(|a, b| a < b)
+}
+
+/// The CSR of strictly ascending canonical pairs: one counting pass
+/// sizes the rows, one fill pass writes them. The fill walks the pairs
+/// once, appending `v` to row `u` and `u` to row `v`; row `w` therefore
+/// receives first its smaller neighbors (ascending, from pairs
+/// `(y, w)`) and then its larger ones (ascending, from pairs `(w, x)`),
+/// so every row comes out sorted without a per-row sort. Callers
+/// range-check the pairs.
+fn scatter(n: usize, pairs: &[(u32, u32)]) -> Graph {
+    debug_assert!(pairs.iter().all(|&(u, v)| u < v && (v as usize) < n));
+    assert!(
+        pairs.len() * 2 <= u32::MAX as usize,
+        "graph too large for u32 CSR offsets: {} edges",
+        pairs.len()
+    );
+    assert!(n <= u32::MAX as usize, "node ids must fit u32: n = {n}");
+    let mut offsets = vec![0u32; n + 1];
+    for &(u, v) in pairs {
+        for end in [u, v] {
+            if let Some(count) = offsets.get_mut(end as usize + 1) {
+                *count += 1;
+            }
+        }
+    }
+    let mut total = 0;
+    for offset in &mut offsets {
+        total += *offset;
+        *offset = total;
+    }
+    let mut cursor = offsets.clone();
+    let mut targets = vec![0u32; pairs.len() * 2];
+    for &(u, v) in pairs {
+        for (from, to) in [(u, v), (v, u)] {
+            if let Some(at) = cursor.get_mut(from as usize) {
+                if let Some(slot) = targets.get_mut(*at as usize) {
+                    *slot = to;
+                }
+                *at += 1;
+            }
+        }
+    }
+    Graph::from_rows(offsets, targets, pairs.len())
 }
 
 #[cfg(test)]

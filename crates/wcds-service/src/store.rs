@@ -1302,6 +1302,24 @@ mod tests {
         );
     }
 
+    /// A payload with one malformed megabyte-long line is refused with a
+    /// short message that still names the line: the parser clips the
+    /// text it quotes.
+    #[test]
+    fn a_huge_malformed_line_is_refused_with_a_short_message() {
+        let store = Store::new();
+        let payload = format!("nodes 2\nedge 0 1\nedge 0 {}\n", "9".repeat(1 << 20));
+        let e = store.create("x", &payload).unwrap_err();
+        assert_eq!(e.code, ErrorCode::BadPayload);
+        assert!(e.message.len() < 128, "{} bytes: {}", e.message.len(), e.message);
+        assert!(
+            e.message.starts_with("payload: line 3: malformed line `edge 0 999"),
+            "{}",
+            e.message
+        );
+        assert!(store.list().unwrap().is_empty());
+    }
+
     /// A positioned payload must list its points' unit-disk graph: a
     /// dropped edge and bare points with neighbours are both rejected
     /// and leave the name free, while `io::to_text` of a unit-disk

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Service smoke test: start `wcds serve` on loopback, drive a scripted
-# rejected ingest of a tampered payload → ingest → broadcast →
-# construct → route → mutate → route → broadcast →
+# rejected ingest of a tampered payload → ingest → broadcast → ingest
+# of a hand-edited copy → broadcast → export → construct → route → mutate → route → broadcast →
 # stats → pipelined route burst (`--repeat N --pipeline`) → harden →
 # broadcast → crash a node → degraded broadcast → shutdown session
 # through `wcds query`, and require a clean server exit. Each broadcast must print its exact
@@ -18,7 +18,9 @@ cd "$(dirname "$0")/.."
 PORT="${WCDS_SMOKE_PORT:-7741}"
 GRAPH="$(mktemp -t wcds-smoke-XXXXXX.graph)"
 TAMPERED="$(mktemp -t wcds-smoke-XXXXXX.graph)"
-trap 'rm -f "${GRAPH}" "${TAMPERED}"; kill "${SERVER_PID:-}" 2>/dev/null || true' EXIT
+HAND="$(mktemp -t wcds-smoke-XXXXXX.graph)"
+EXPORTED="$(mktemp -t wcds-smoke-XXXXXX.graph)"
+trap 'rm -f "${GRAPH}" "${TAMPERED}" "${HAND}" "${EXPORTED}"; kill "${SERVER_PID:-}" 2>/dev/null || true' EXIT
 
 wcds() {
   cargo run --release -q -p wcds-cli --bin wcds -- "$@"
@@ -31,12 +33,20 @@ wcds generate --model uniform --n 60 --side 4 --seed 5 -o "${GRAPH}"
 # the same deployment with its first edge line deleted: its edges are no
 # longer the unit-disk graph of its points
 awk '/^edge / && !cut { cut = 1; next } 1' "${GRAPH}" > "${TAMPERED}"
+# the same deployment as a person might edit it: a header comment, CRLF
+# line ends, tab-separated fields and its first edge repeated reversed
+{
+  printf '# hand-edited copy\r\n'
+  awk '/^edge / && !twice { print; print "edge " $3 " " $2; twice = 1; next } 1' "${GRAPH}" \
+    | tr ' ' '\t' | sed 's/$/\r/'
+} > "${HAND}"
 
-# broadcast ADDR SOURCE LINE: one broadcast query whose output must be
-# exactly LINE (the plans are deterministic for the generated graph)
+# broadcast ADDR SOURCE LINE [NAME]: one broadcast query on topology
+# NAME (default `net`) whose output must be exactly LINE (the plans are
+# deterministic for the generated graph)
 broadcast() {
-  local addr="$1" source="$2" want="$3" got
-  got="$(wcds query broadcast --addr "${addr}" --name net --source "${source}")"
+  local addr="$1" source="$2" want="$3" name="${4:-net}" got
+  got="$(wcds query broadcast --addr "${addr}" --name "${name}" --source "${source}")"
   echo "${got}"
   if ! grep -qxF -- "${want}" <<<"${got}"; then
     echo "broadcast from ${source}: expected \`${want}\`" >&2
@@ -69,6 +79,15 @@ session() {
   fi
   wcds query create    --addr "${addr}" --name net -i "${GRAPH}"
   broadcast "${addr}" 0 "broadcast from 0: 30 forwarders, 60 informed"
+  # the hand-edited copy is the same topology: same broadcast, and it
+  # exports the generated file byte for byte
+  wcds query create    --addr "${addr}" --name hand -i "${HAND}"
+  broadcast "${addr}" 0 "broadcast from 0: 30 forwarders, 60 informed" hand
+  wcds query export    --addr "${addr}" --name hand -o "${EXPORTED}"
+  if ! cmp "${EXPORTED}" "${GRAPH}"; then
+    echo "export of the hand-edited copy differs from the generated file" >&2
+    exit 1
+  fi
   wcds query construct --addr "${addr}" --name net
   wcds query route     --addr "${addr}" --name net --from 0 --to 59
   wcds query mutate    --addr "${addr}" --name net --join 2.0,2.0
