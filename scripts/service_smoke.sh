@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Service smoke test: start `wcds serve` on loopback, drive a scripted
 # rejected ingest of a tampered payload → ingest → broadcast → ingest
-# of a hand-edited copy → broadcast → export → construct → route → mutate → route → broadcast →
-# stats → pipelined route burst (`--repeat N --pipeline`) → harden →
-# broadcast → crash a node → degraded broadcast → shutdown session
-# through `wcds query`, and require a clean server exit. Each broadcast must print its exact
+# of a hand-edited copy → broadcast → export → construct → route →
+# mutate → route → broadcast → stats → pipelined route burst
+# (`--repeat N --pipeline`) → harden → broadcast → crash a node →
+# degraded broadcast → shutdown session through `wcds query`, and
+# require a clean server exit. Each broadcast must print its exact
 # expected line.
 #
 # Usage: scripts/service_smoke.sh
